@@ -55,12 +55,15 @@ def kst_partition(
     w = as_float_array(weights if weights is not None else 1.0, g.n, name="weights")
     tau = g.cost_degree()
     labels = np.full(g.n, -1, dtype=np.int64)
-
-    def rec(members: np.ndarray, colors: range) -> None:
+    # explicit worklist, left piece first: the recursion's split order
+    # without a self-referencing closure keeping g and ctx alive
+    work = [(np.arange(g.n, dtype=np.int64), range(k))]
+    while work:
+        members, colors = work.pop()
         kk = len(colors)
         if kk == 1 or members.size == 0:
             labels[members] = colors.start
-            return
+            continue
         k_left = kk // 2
         share = k_left / kk
         local_w = w[members]
@@ -88,8 +91,6 @@ def kst_partition(
             best_u = split_on(oracle, sub, local_w, share * wt, ctx)
         u_mask = np.zeros(members.size, dtype=bool)
         u_mask[np.asarray(best_u, dtype=np.int64)] = True
-        rec(members[u_mask], range(colors.start, colors.start + k_left))
-        rec(members[~u_mask], range(colors.start + k_left, colors.stop))
-
-    rec(np.arange(g.n, dtype=np.int64), range(k))
+        work.append((members[~u_mask], range(colors.start + k_left, colors.stop)))
+        work.append((members[u_mask], range(colors.start, colors.start + k_left)))
     return Coloring(labels, k)

@@ -39,12 +39,17 @@ def recursive_bisection(g: Graph, k: int, weights=None, oracle=None, ctx=None) -
         ctx = SolveContext.for_graph(g)
     w = as_float_array(weights if weights is not None else 1.0, g.n, name="weights")
     labels = np.full(g.n, -1, dtype=np.int64)
-
-    def rec(members: np.ndarray, colors: range) -> None:
+    # an explicit worklist instead of a self-referencing closure (which
+    # would keep g, the oracle and ctx alive until a full GC); popping the
+    # left piece first keeps the recursion's split order, which the
+    # oracle's warm starts depend on
+    work = [(np.arange(g.n, dtype=np.int64), range(k))]
+    while work:
+        members, colors = work.pop()
         kk = len(colors)
         if kk == 1 or members.size == 0:
             labels[members] = colors.start
-            return
+            continue
         k_left = kk // 2
         sub = g.subgraph(members)
         local_w = w[members]
@@ -52,8 +57,6 @@ def recursive_bisection(g: Graph, k: int, weights=None, oracle=None, ctx=None) -
         u_local = split_on(oracle, sub, local_w, target, ctx)
         u_mask = np.zeros(members.size, dtype=bool)
         u_mask[np.asarray(u_local, dtype=np.int64)] = True
-        rec(members[u_mask], range(colors.start, colors.start + k_left))
-        rec(members[~u_mask], range(colors.start + k_left, colors.stop))
-
-    rec(np.arange(g.n, dtype=np.int64), range(k))
+        work.append((members[~u_mask], range(colors.start + k_left, colors.stop)))
+        work.append((members[u_mask], range(colors.start, colors.start + k_left)))
     return Coloring(labels, k)

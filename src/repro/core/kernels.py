@@ -24,6 +24,15 @@ that primitive, surfaced through a string-keyed :data:`REGISTRY` /
     fall back to ``incremental`` below, so the kernel is safe as the
     universal default.
 
+    The dense pass runs as one call into the repo's native module
+    (:mod:`repro.core._bucketc`, which also holds the graph traversals of
+    :mod:`repro.graphs.components`): it builds the gains from the pair's
+    CSR rows — exact in any summation order on integer costs — fills the
+    bitmap, runs the move loop and rolls back past the best prefix in C,
+    with arrays passed as raw addresses.  ``REPRO_BUCKET_C=0`` switches off
+    all native code; the pass then runs the :class:`KernelState` loop in
+    Python, with byte-identical labels.
+
 ``incremental``
     The PR 4 gain-table kernel.  Same vectorized initial gains, then a
     lazy-deletion heap validated against the stored gain table: a popped
@@ -76,7 +85,6 @@ unrestricted FM discipline allows.
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import os
 import warnings
@@ -289,7 +297,7 @@ def fm_pair_pass_bucket(
     )
 
 
-#: lazily-loaded compiled inner loop (``None`` = unavailable, fall back)
+#: lazily-loaded native module (``None`` = unavailable, fall back)
 _BUCKET_C_UNSET = object()
 _bucket_c = _BUCKET_C_UNSET
 
@@ -309,16 +317,17 @@ def _bucket_dense_pass(
 ) -> tuple[list[int], bool]:
     """Dispatch the dense bucket pass to the compiled loop when available.
 
-    Both paths run the identical algorithm on the identical
-    :class:`KernelState` arrays with the identical IEEE-754 operation order,
-    so the choice is invisible in the output (held by the equivalence
-    tests); it only moves the loop out of the interpreter.
+    Both paths run the identical algorithm with the identical IEEE-754
+    operation order, so the choice is invisible in the output (held by the
+    equivalence tests); it only moves the loop out of the interpreter.
+    Labels the C routine cannot address in place (not int64, or not
+    contiguous) take the Python loop.
     """
-    fn = _bucket_loop_c()
-    if fn is not None and labels.dtype == np.int64 and labels.flags.c_contiguous:
+    lib = _bucket_loop_c()
+    if lib is not None and labels.dtype == np.int64 and labels.flags.c_contiguous:
         return _bucket_dense_pass_c(
-            fn, g, labels, w, i, j, lo_bound, hi_bound,
-            max_moves, in_pair, member_mask, members, cw_i, cw_j, wmax, offset,
+            lib.bucket_pass, g, labels, w, i, j, lo_bound, hi_bound,
+            max_moves, member_mask, members, cw_i, cw_j, wmax, offset,
         )
     return _bucket_dense_pass_py(
         g, labels, w, i, j, lo_bound, hi_bound,
@@ -328,46 +337,36 @@ def _bucket_dense_pass(
 
 def _bucket_dense_pass_c(
     fn, g, labels, w, i, j, lo_bound, hi_bound,
-    max_moves, in_pair, member_mask, members, cw_i, cw_j, wmax, offset,
+    max_moves, member_mask, members, cw_i, cw_j, wmax, offset,
 ) -> tuple[list[int], bool]:
-    state = KernelState.build(g, labels, in_pair, member_mask, members, offset)
-    n = state.n
+    """One native call: gains, bitmap, move loop and rollback.
+
+    The class weights ``cw_i``/``cw_j`` and ``wmax`` arrive as the numpy
+    reductions the prologue computed, so float weights enter the loop with
+    the same bits as on the Python path.
+    """
     limit = int(max_moves) if max_moves is not None else int(members.size)
     lo_ok = lo_bound - 1e-9
     hi_ok = hi_bound + 1e-9
-    lo_slack = lo_bound - wmax - _TOL
-    hi_slack = hi_bound + wmax + _TOL
     start_ok = lo_ok <= cw_i <= hi_ok and lo_ok <= cw_j <= hi_ok
-
-    f64p = ctypes.POINTER(ctypes.c_double)
-    i64p = ctypes.POINTER(ctypes.c_longlong)
-    u8p = ctypes.POINTER(ctypes.c_ubyte)
-    table = (ctypes.c_ubyte * len(state.table)).from_buffer(state.table)
-    locked_u8 = state.locked.view(np.uint8)
-    member_u8 = np.ascontiguousarray(member_mask).view(np.uint8)
     w = np.ascontiguousarray(w)
-    moves_buf = np.empty(max(limit, 1), dtype=np.int64)
-    bp_buf = np.zeros(1, dtype=np.int64)
+    member_u8 = np.ascontiguousarray(member_mask).view(np.uint8)
+    moves = np.empty(max(limit, 1), dtype=np.int64)
+    best = np.zeros(1, dtype=np.int64)
     nmoves = fn(
-        n, state.offset,
-        state.gains.ctypes.data_as(f64p), table,
-        state.counts.ctypes.data_as(i64p), state.heads.ctypes.data_as(i64p),
-        state.maxb,
-        g.indptr.ctypes.data_as(i64p), g.nbr.ctypes.data_as(i64p),
-        g.arc_costs.ctypes.data_as(f64p),
-        labels.ctypes.data_as(i64p), locked_u8.ctypes.data_as(u8p),
-        member_u8.ctypes.data_as(u8p), w.ctypes.data_as(f64p),
-        i, j, cw_i, cw_j, lo_ok, hi_ok, lo_slack, hi_slack,
-        _TOL, limit,
-        moves_buf.ctypes.data_as(i64p), bp_buf.ctypes.data_as(i64p),
+        g.n, offset,
+        g.indptr.ctypes.data, g.nbr.ctypes.data, g.arc_costs.ctypes.data,
+        labels.ctypes.data, member_u8.ctypes.data, w.ctypes.data, i, j,
+        cw_i, cw_j, lo_ok, hi_ok, lo_bound - wmax - _TOL, hi_bound + wmax + _TOL,
+        _TOL, limit, start_ok, moves.ctypes.data, best.ctypes.data,
     )
-    moves = moves_buf[:nmoves].tolist()
-    best_prefix = int(bp_buf[0])
-    if best_prefix == 0 and not start_ok and moves:
-        return moves, False
-    for v in reversed(moves[best_prefix:]):
-        labels[v] = i if labels[v] == j else j
-    return moves[:best_prefix], best_prefix > 0
+    if nmoves < 0:
+        raise MemoryError("bucket pass: native scratch allocation failed")
+    best_prefix = int(best[0])
+    if best_prefix == 0 and not start_ok and nmoves:
+        # the start was outside the window: the C side kept the best effort
+        return moves[:nmoves].tolist(), False
+    return moves[:best_prefix].tolist(), best_prefix > 0
 
 
 def _bucket_dense_pass_py(

@@ -169,5 +169,10 @@ def exact_min_max_boundary(g: Graph, weights: np.ndarray, k: int) -> tuple[float
             class_w[color] -= w[v]
             labels[v] = -1
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    finally:
+        # rec refers to itself through its closure; dropping the name breaks
+        # that cycle, so g and the search state are freed without a full GC
+        del rec
     return best_cost, best_labels

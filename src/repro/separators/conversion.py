@@ -243,7 +243,12 @@ def nested_dissection_order(
             out.extend(rec(members[b_local], depth + 1))
         return out
 
-    blocks = rec(np.arange(g.n, dtype=np.int64), 0)
+    try:
+        blocks = rec(np.arange(g.n, dtype=np.int64), 0)
+    finally:
+        # rec refers to itself through its closure; dropping the name breaks
+        # that cycle, so g is freed without a full GC
+        del rec
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
 
 

@@ -59,6 +59,10 @@ __all__ = [
 #: ceiling on the jittered exponential backoff between recovery attempts
 _RECOVERY_BACKOFF_CAP_S = 1.0
 
+#: on stop, how long in-flight responses get to complete before their
+#: connections are closed (connections owing nothing close at once)
+SHUTDOWN_GRACE_S = 5.0
+
 
 class ServiceError(Exception):
     """A request failed inside a shard; the message goes back on the wire."""
@@ -762,8 +766,10 @@ async def run_line_server(
     The transport layer both ``repro serve`` and the ring router run on:
     pipelined requests (responses matched by id, not order), per-connection
     write lock, idle reaping, oversized-line rejection, and graceful
-    shutdown with a 5s drain grace.  ``handle(req, stop)`` is the request
-    handler — it sets ``stop`` to initiate shutdown (the ``shutdown`` op).
+    shutdown: on stop, connections that owe no response close at once, and
+    in-flight responses get up to ``SHUTDOWN_GRACE_S`` to complete.
+    ``handle(req, stop)`` is the request handler — it sets ``stop`` to
+    initiate shutdown (the ``shutdown`` op).
 
     ``ready`` is an optional callback invoked with the bound ``(host, port)``
     once the socket is listening — tests and the CLI use it to learn the
@@ -784,14 +790,16 @@ async def run_line_server(
     has stopped and connections drained — the owner's teardown hook.
     """
     stop = asyncio.Event()
-    connections: set[asyncio.Task] = set()
+    #: connection handler task -> (writer, in-flight responders); a
+    #: connection with no responder in flight owes its client nothing
+    connections: dict[asyncio.Task, tuple] = {}
 
     async def handle_connection(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         task = asyncio.current_task()
-        connections.add(task)
-        task.add_done_callback(connections.discard)
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        connections[task] = (writer, tasks)
+        task.add_done_callback(lambda t: connections.pop(t, None))
 
         async def respond(req: dict) -> None:
             resp = await handle(req, stop)
@@ -880,11 +888,21 @@ async def run_line_server(
             # ask dead shard executors for their snapshots
             metrics_server.close()
         # close() only — Server.wait_closed() waits for every open handler
-        # since 3.12.1, so one idle client would hang shutdown forever;
-        # instead give handlers a grace period, then cancel stragglers
+        # since 3.12.1, so one idle client would hang shutdown forever.
+        # Closing a connection's transport ends its handler through the
+        # normal EOF path.  Connections that owe no response close at once;
+        # the bounded grace is spent only on responses still in flight.
         server.close()
+        owed = [t for _, tasks in connections.values() for t in tasks]
+        for writer, tasks in list(connections.values()):
+            if not tasks:
+                writer.close()
+        if owed:
+            await asyncio.wait(owed, timeout=SHUTDOWN_GRACE_S)
         if connections:
-            _, pending = await asyncio.wait(list(connections), timeout=5.0)
+            for writer, _ in list(connections.values()):
+                writer.close()
+            _, pending = await asyncio.wait(list(connections), timeout=1.0)
             for task in pending:
                 task.cancel()
             if pending:

@@ -12,6 +12,8 @@ wherever a compiler exists, and explicitly disabled via monkeypatching in
 the forced-Python tests).
 """
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,120 @@ class TestPairEquivalence:
         rb = fm_pair_pass(g, lb, w, 0, 1, avg - span, avg + span)
         assert np.array_equal(la, lb)
         assert ra == rb
+
+
+def _native_or_skip():
+    lib = K._bucket_loop_c()
+    if lib is None:
+        pytest.skip("native module unavailable (no compiler, or REPRO_BUCKET_C=0)")
+    return lib
+
+
+class _SpyLib:
+    """Stands in for the native module; records each native bucket pass's
+    ``(nmoves, best_prefix)``, read back from the output pointer."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.calls = []
+
+    def bucket_pass(self, *args):
+        nmoves = self.lib.bucket_pass(*args)
+        self.calls.append((nmoves, ctypes.c_int64.from_address(args[-1]).value))
+        return nmoves
+
+
+def split_grid_instance(rng, side=12):
+    """A grid cut by a balanced row-major prefix, integer costs: the start
+    is strictly balanced and near a local optimum, so FM explores many
+    moves and rolls most of them back."""
+    g = grid_graph(side, side)
+    g = g.with_costs(rng.integers(1, 4, g.m).astype(np.float64))
+    w = rng.integers(1, 4, g.n).astype(np.float64)
+    total = float(w.sum())
+    span = float(w.max()) * 0.5
+    cum = np.cumsum(w)
+    cut = int(np.argmin(np.abs(cum - total / 2)))
+    labels = (np.arange(g.n) > cut).astype(np.int64)
+    assert abs(cum[cut] - total / 2) <= span
+    return g, w, labels, total / 2 - span, total / 2 + span
+
+
+def native_python_reference(g, labels, w, lo, hi, monkeypatch, **kw):
+    """(native run, Python-loop run, reference run), each on a copy."""
+    spy = _SpyLib(_native_or_skip())
+    monkeypatch.setattr(K, "_bucket_c", spy)
+    la = labels.copy()
+    ra = fm_pair_pass_bucket(g, la, w, 0, 1, lo, hi, **kw)
+    monkeypatch.setattr(K, "_bucket_c", None)
+    lb = labels.copy()
+    rb = fm_pair_pass_bucket(g, lb, w, 0, 1, lo, hi, **kw)
+    lc = labels.copy()
+    rc = fm_pair_pass_reference(g, lc, w, 0, 1, lo, hi, **kw)
+    return spy.calls, [(la, ra), (lb, rb), (lc, rc)]
+
+
+class TestNativeBucketPass:
+    """The one-call native pass (gains, bitmap, loop, rollback in C) against
+    the Python bucket loop and the reference kernel."""
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_rollback_heavy_passes(self, trial, monkeypatch):
+        rng = np.random.default_rng(1300 + trial)
+        g, w, labels, lo, hi = split_grid_instance(rng)
+        calls, runs = native_python_reference(g, labels, w, lo, hi, monkeypatch)
+        assert_all_equal(runs)
+        ((nmoves, best_prefix),) = calls
+        # most explored moves are undone, in C
+        assert nmoves - best_prefix > nmoves // 2
+        assert len(runs[0][1][0]) == best_prefix
+
+    @pytest.mark.parametrize("max_moves", [0, 1, 2, 5, 13, 40])
+    def test_max_moves_caps(self, max_moves, monkeypatch):
+        rng = np.random.default_rng(77)
+        g, w, labels, lo, hi = split_grid_instance(rng, side=10)
+        calls, runs = native_python_reference(
+            g, labels, w, lo, hi, monkeypatch, max_moves=max_moves)
+        assert_all_equal(runs)
+        ((nmoves, _),) = calls
+        assert nmoves <= max_moves
+
+    def test_out_of_window_start_keeps_best_effort(self, monkeypatch):
+        # class 0 holds almost everything: the start is outside the window
+        # and two moves cannot reach it, so best_prefix == 0 and every move
+        # is kept instead of rolled back to the invalid start
+        g = grid_graph(8, 8)
+        w = np.ones(g.n)
+        labels = np.zeros(g.n, dtype=np.int64)
+        labels[[7, 15]] = 1
+        calls, runs = native_python_reference(
+            g, labels, w, 30.0, 34.0, monkeypatch, max_moves=2)
+        assert_all_equal(runs)
+        assert calls == [(2, 0)]
+        kept, improved = runs[0][1]
+        assert len(kept) == 2 and not improved
+        assert int((runs[0][0] == 1).sum()) == 4
+
+    @pytest.mark.parametrize("layout", ["int32", "strided"])
+    def test_labels_native_cannot_address_take_python_loop(self, layout, monkeypatch):
+        _native_or_skip()
+
+        def trap(*args, **kwargs):
+            raise AssertionError("native pass reached with unaddressable labels")
+
+        monkeypatch.setattr(K, "_bucket_dense_pass_c", trap)
+        rng = np.random.default_rng(5)
+        g, w, labels, lo, hi = split_grid_instance(rng)
+        if layout == "int32":
+            lab = labels.astype(np.int32)
+        else:
+            lab = np.zeros(2 * g.n, dtype=np.int64)[::2]
+            lab[:] = labels
+        assert lab.dtype != np.int64 or not lab.flags.c_contiguous
+        res = fm_pair_pass_bucket(g, lab, w, 0, 1, lo, hi)
+        want = labels.copy()
+        assert res == fm_pair_pass_reference(g, want, w, 0, 1, lo, hi)
+        assert np.array_equal(lab, want)
 
 
 class TestKernelState:

@@ -21,6 +21,7 @@ from repro.service import (
     ShardPool,
     canonical_record,
     parse_request,
+    run_line_server,
     run_loadgen,
     scenario_from_spec,
     serve,
@@ -406,6 +407,74 @@ class TestServer:
                 await idle.close()
 
         assert asyncio.run(asyncio.wait_for(run(), 30))
+
+    def test_stop_closes_idle_connections_at_once(self):
+        # idle keep-alives owe no response: stop must not spend the drain
+        # grace on them
+        async def run():
+            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            task, host, port = await start_server(service)
+            idle = [await ServiceClient.connect(host, port) for _ in range(3)]
+            try:
+                loop = asyncio.get_running_loop()
+                t0 = loop.time()
+                await stop_server(task, host, port)
+                return loop.time() - t0
+            finally:
+                for client in idle:
+                    await client.close()
+
+        assert asyncio.run(asyncio.wait_for(run(), 30)) < 1.0
+
+    def test_stop_still_answers_in_flight_request(self):
+        # a response still owed at stop time is delivered before its
+        # connection closes, while an idle neighbor is dropped at once
+        async def run():
+            started = asyncio.Event()
+
+            async def handle(req, stop):
+                if req["op"] == "ping":  # a slow request
+                    started.set()
+                    await asyncio.sleep(0.3)
+                    return {"id": req["id"], "ok": True, "pong": 1}
+                if req["op"] == "shutdown":
+                    stop.set()
+                return {"id": req["id"], "ok": True}
+
+            ready = asyncio.Event()
+            bound = {}
+
+            def _ready(host, port):
+                bound.update(host=host, port=port)
+                ready.set()
+
+            server = asyncio.create_task(run_line_server(handle, port=0, ready=_ready))
+            await asyncio.wait_for(ready.wait(), 10)
+            host, port = bound["host"], bound["port"]
+            # an established connection with nothing owed
+            idle_reader, idle = await asyncio.open_connection(host, port)
+            idle.write(b'{"op": "stats", "id": 0}\n')
+            await idle.drain()
+            assert json.loads(await idle_reader.readline()) == {"id": 0, "ok": True}
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "ping", "id": 1}\n')
+            await writer.drain()
+            await asyncio.wait_for(started.wait(), 5)  # now in flight
+            stop_reader, stop_writer = await asyncio.open_connection(host, port)
+            stop_writer.write(b'{"op": "shutdown", "id": 2}\n')
+            await stop_writer.drain()
+            stopped = json.loads(await stop_reader.readline())
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            dropped = await asyncio.wait_for(idle_reader.read(), 5)
+            await asyncio.wait_for(server, 5)
+            for w in (idle, writer, stop_writer):
+                w.close()
+            return stopped, reply, dropped
+
+        stopped, reply, dropped = asyncio.run(asyncio.wait_for(run(), 30))
+        assert stopped == {"id": 2, "ok": True}
+        assert reply == {"id": 1, "ok": True, "pong": 1}
+        assert dropped == b""
 
     def test_broken_shard_respawns(self):
         async def run():
