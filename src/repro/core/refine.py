@@ -71,13 +71,13 @@ def _apply_move_deltas(
     """
     if not moved or g.m == 0:
         return
-    mv = np.asarray(moved, dtype=np.int64)
-    eids = np.unique(np.concatenate([g.eid[g.indptr[v] : g.indptr[v + 1]] for v in moved]))
+    moved_mask = np.zeros(g.n, dtype=bool)
+    moved_mask[np.asarray(moved, dtype=np.int64)] = True
+    # ascending edge ids, so the folds below sum in the same order as a scan
+    eids = np.flatnonzero(moved_mask[g.edges[:, 0]] | moved_mask[g.edges[:, 1]])
     uu = g.edges[eids, 0]
     vv = g.edges[eids, 1]
     cc = g.costs[eids]
-    moved_mask = np.zeros(g.n, dtype=bool)
-    moved_mask[mv] = True
     lu_new = labels[uu]
     lv_new = labels[vv]
     lu_old = np.where(moved_mask[uu], i + j - lu_new, lu_new)

@@ -105,8 +105,18 @@ def _component_fiedler(g: Graph, hint: np.ndarray | None, tol: float) -> np.ndar
     — without it, symmetric instances leave an eigenspace whose basis the
     solver picks start-vector-dependently.  ``hint`` (the interpolated
     parent-level vector) seeds the Lanczos iteration; the tight tolerance
-    makes the converged vector independent of the seed, so warm starts save
-    iterations without changing results.
+    makes the converged vector independent of the seed.  Warm starts do not
+    save iterations: with ARPACK's default ``ncv`` every iterative solve
+    applies the operator 21 times from any start vector, so what repeated
+    pipelines gain comes from the :class:`SolveCache`, not from the hint.
+
+    The iterative path factors ``S = L + ramp − σI`` once.  ``σ < 0`` makes
+    it symmetric positive definite, so SuperLU runs a symmetric
+    minimum-degree ordering with diagonal pivots (about half the fill of the
+    default unsymmetric ordering) and ``eigsh`` applies that factor instead
+    of building its own.  A solver failure falls back to BFS levels from a
+    pseudo-peripheral vertex, reported as an ``oracle.fallback`` event and
+    an ``oracle_fallbacks{reason=...}`` counter.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -117,17 +127,30 @@ def _component_fiedler(g: Graph, hint: np.ndarray | None, tol: float) -> np.ndar
     if n <= 2:
         return np.arange(n, dtype=np.float64)
     COUNTERS["solves"] += 1
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
-    vals = np.concatenate([g.costs, g.costs])
-    adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    scale = float(deg.mean()) if n else 0.0
+    # S in CSC straight from the graph's CSR (the Laplacian is symmetric, so
+    # rows and columns coincide), a diagonal slot at the head of each column
+    indptr = g.indptr
+    cols = np.arange(n)
+    lap = sp.csc_array(
+        (np.insert(g.arc_costs, indptr[:-1], 0.0), np.insert(g.nbr, indptr[:-1], cols),
+         indptr + np.arange(n + 1)),
+        shape=(n, n),
+    )
+    # columns in row order, so the degree sums (zero-cost entries included)
+    # are bitwise the row sums of the canonical adjacency matrix
+    lap.sort_indices()
+    on_diag = lap.indices == np.repeat(cols, np.diff(lap.indptr))
+    deg = np.add.reduceat(lap.data[~on_diag], indptr[:-1])
+    scale = float(deg.mean())
     if scale <= 0.0:
         scale = 1.0
     ramp = RAMP_DELTA * scale * (np.arange(n, dtype=np.float64) / (n - 1))
-    lap = sp.diags(deg + ramp) - adj
-    if n < DENSE_CUTOFF:
+    sigma = -1e-4 * scale
+    dense = n < DENSE_CUTOFF
+    np.negative(lap.data, out=lap.data)
+    lap.data[on_diag] = deg + ramp if dense else (deg + ramp) - sigma
+    lap.eliminate_zeros()
+    if dense:
         COUNTERS["dense"] += 1
         _, eigvecs = np.linalg.eigh(lap.toarray())
         return _canonical_sign(eigvecs[:, 1])
@@ -144,15 +167,27 @@ def _component_fiedler(g: Graph, hint: np.ndarray | None, tol: float) -> np.ndar
         v0 = np.cos(np.arange(n, dtype=np.float64))
     try:
         COUNTERS["iterative"] += 1
+        lu = spla.splu(
+            lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        # with OPinv given, shift-invert eigsh reads only the shape and
+        # dtype of its matrix argument and returns eigenvalues of S + σI
         eigvals, eigvecs = spla.eigsh(
-            lap, k=2, sigma=-1e-4 * scale, which="LM", v0=v0, tol=tol
+            lap, k=2, sigma=sigma, which="LM", v0=v0, tol=tol,
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64),
         )
         order = np.argsort(eigvals)
         return _canonical_sign(eigvecs[:, order[1]])
-    except Exception:
-        COUNTERS["fallbacks"] += 1
+    except Exception as exc:
         from ..graphs.components import bfs_levels
+        from ..obs import events, registry, telemetry_enabled
 
+        COUNTERS["fallbacks"] += 1
+        reason = type(exc).__name__
+        if telemetry_enabled():
+            registry().counter("oracle_fallbacks", reason=reason).inc()
+        events.emit("oracle.fallback", reason=reason, n=n)
         lev = bfs_levels(g, [pseudo_peripheral_vertex(g)])
         return lev.astype(np.float64)
 
@@ -271,6 +306,25 @@ def prefix_split(order: np.ndarray, weights: np.ndarray, target: float) -> np.nd
     return order[:count]
 
 
+def _prefix_cuts(g: Graph, order: np.ndarray) -> np.ndarray:
+    """Cut cost of every prefix of the permutation ``order`` (``n + 1`` values).
+
+    The incremental sweep of :func:`sweep_split`: an edge is internal once
+    its later endpoint is placed, and entry ``i + 1`` is the running sum of
+    the per-vertex changes, added left to right.
+    """
+    n = order.size
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    earlier_cost = np.zeros(n, dtype=np.float64)
+    late = np.maximum(pos[g.edges[:, 0]], pos[g.edges[:, 1]])
+    np.add.at(earlier_cost, late, g.costs)
+    cut_after = np.empty(n + 1, dtype=np.float64)
+    cut_after[0] = 0.0
+    np.cumsum(g.cost_degree()[order] - 2.0 * earlier_cost, out=cut_after[1:])
+    return cut_after
+
+
 def sweep_split(g: Graph, order: np.ndarray, weights: np.ndarray, target: float) -> np.ndarray:
     """Cheapest-cut prefix among *all* prefixes inside the valid window.
 
@@ -294,24 +348,6 @@ def sweep_split(g: Graph, order: np.ndarray, weights: np.ndarray, target: float)
         valid_counts = np.concatenate([[0], valid_counts])
     if valid_counts.size == 0:
         return prefix_split(order, weights, target)
-    # incremental cut-cost sweep
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    tau = g.cost_degree()
-    cut_after = np.empty(n + 1, dtype=np.float64)
-    cut_after[0] = 0.0
-    # For each edge, it is "internal" once both endpoints are in the prefix.
-    # Adding the i-th vertex v: cut += tau(v) - 2 * sum of costs of edges to
-    # vertices already placed.
-    earlier_cost = np.zeros(n, dtype=np.float64)
-    eu, ev = g.edges[:, 0], g.edges[:, 1]
-    pu, pv = pos[eu], pos[ev]
-    late = np.maximum(pu, pv)
-    np.add.at(earlier_cost, late, g.costs)
-    running = 0.0
-    tau_in_order = tau[order]
-    for i in range(n):
-        running += float(tau_in_order[i]) - 2.0 * float(earlier_cost[i])
-        cut_after[i + 1] = running
+    cut_after = _prefix_cuts(g, order)
     best = valid_counts[int(np.argmin(cut_after[valid_counts]))]
     return order[:best]

@@ -273,6 +273,7 @@ def _trace_remesh(state: GraphState, steps: int, ops: int, seed: int, **params):
     half = (int(steps) + 1) // 2
     for step in range(int(steps)):
         batch: list[Mutation] = []
+        removed: set[int] = set()  # midpoints this batch collapses
         count = max(1, ops // 3)
         if step < half:
             items = state.edge_items()
@@ -302,19 +303,26 @@ def _trace_remesh(state: GraphState, steps: int, ops: int, seed: int, **params):
             while splits and done < count:
                 mid, u, v, c = splits.pop(0)
                 # a later split may have consumed the bypass slot or the
-                # midpoint's edges; the collapse itself always preserves
-                # live connectivity (every split vertex keeps a non-midpoint
-                # edge), so only staleness needs checking
+                # midpoint's edges, and an endpoint may be the midpoint of
+                # an earlier split that this batch already collapsed; the
+                # collapse itself always preserves live connectivity (every
+                # split vertex keeps a non-midpoint edge), so only staleness
+                # needs checking
                 if not (state.alive[mid] and state.alive[u] and state.alive[v]):
                     continue
-                if state.has_edge(u, v):
+                if u in removed or v in removed or state.has_edge(u, v):
                     continue
                 batch += [Mutation.remove_vertex(mid), Mutation.add(u, v, c)]
+                removed.add(mid)
                 done += 1
         live = np.flatnonzero(state.alive)
         for _ in range(max(1, ops // 4)):
             t = int(live[int(rng.integers(live.size))])
-            batch.append(Mutation.set_weight(t, float(rng.uniform(0.5, 2.0))))
+            weight = float(rng.uniform(0.5, 2.0))
+            # a collapsed midpoint is drawn like any live vertex (the draws
+            # keep the random stream of every other trace) but not jittered
+            if t not in removed:
+                batch.append(Mutation.set_weight(t, weight))
         state.apply(batch)
         batches.append(batch)
     return batches

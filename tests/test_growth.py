@@ -9,6 +9,9 @@ directed cases for the incremental CSR patcher, the kernel-state growth
 hooks, and the repair-path seeding of arrived vertices.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from repro.stream import (
     seed_new_vertices,
 )
 from repro.stream.repair import BoundaryGainTable
+from repro.stream.traces import make_trace
 from repro.runtime import Scenario, build_instance
 
 
@@ -366,3 +370,43 @@ def test_growth_traces_deterministic_and_policy_agnostic_hash(trace):
     labels = np.asarray(rep.coloring.labels)
     assert np.all(labels[rep.state.alive] >= 0)
     assert np.all(labels[~rep.state.alive] == -1)
+
+
+# ----------------------------------------------------------------------
+# remesh traces: a batch never touches a midpoint it collapses
+
+
+@pytest.mark.parametrize("side, seed", [(24, 26), (16, 40), (4, 12)])
+def test_remesh_batches_skip_midpoints_they_collapse(side, seed):
+    # (24, 26) and (16, 40) drew a weight jitter on a midpoint the same
+    # batch removed; (4, 12) collapsed onto such a midpoint.  Both used to
+    # fail with "vertex N is not alive" inside the generator.
+    g = grid_graph(side, side)
+    batches = make_trace("remesh", GraphState.from_graph(g, np.ones(g.n)), 8, 6, seed)
+    assert len(batches) == 8
+    for batch in batches:
+        removed = set()
+        for mut in batch:
+            touched = {mut.u} if mut.kind in ("weight", "remove_vertex") else {mut.u, mut.v}
+            assert not touched & removed, mut
+            if mut.kind == "remove_vertex":
+                removed.add(mut.u)
+
+
+#: digests of traces that generated before the collapse/jitter guards; the
+#: guards only skip what used to fail, so these must not move
+REMESH_DIGESTS = {
+    (16, 1): "100d0bac5aafc1a8",
+    (20, 2): "2549c9fb0a8a8745",
+    (24, 3): "3537400516970256",
+    (6, 4): "22611b81aea1d316",
+    (10, 5): "dd265a8f845b8296",
+}
+
+
+@pytest.mark.parametrize("side, seed", sorted(REMESH_DIGESTS))
+def test_remesh_traces_that_generated_before_are_unchanged(side, seed):
+    g = grid_graph(side, side)
+    batches = make_trace("remesh", GraphState.from_graph(g, np.ones(g.n)), 8, 6, seed)
+    wire = json.dumps([[m.to_wire() for m in batch] for batch in batches]).encode()
+    assert hashlib.sha256(wire).hexdigest()[:16] == REMESH_DIGESTS[(side, seed)]

@@ -1,4 +1,5 @@
-"""Tests for the spectral solve cache, SolveContext, and the oracle registry.
+"""Tests for the spectral solve cache, SolveContext, the oracle registry and
+the eigensolver behind them.
 
 The load-bearing property under test: records are byte-identical with the
 solve cache on or off, and with warm starts hot or cold — the cache only
@@ -6,10 +7,22 @@ memoizes canonical (hint-free) solves, and the fixed-tolerance solver makes
 the converged vector independent of its start vector.
 """
 
+import io
+import json
+
 import numpy as np
 import pytest
 
-from repro.graphs import Graph, disjoint_union, grid_graph, path_graph, unit_weights
+from repro.graphs import (
+    Graph,
+    disjoint_union,
+    grid_graph,
+    path_graph,
+    triangulated_mesh,
+    unit_weights,
+)
+from repro.graphs.components import bfs_levels, pseudo_peripheral_vertex
+from repro.obs import events, registry, reset_telemetry, telemetry_enabled
 from repro.runtime import Scenario, run_scenario
 from repro.separators import (
     REGISTRY,
@@ -23,6 +36,13 @@ from repro.separators import (
     process_cache,
     reset_solver_state,
     solver_stats,
+)
+from repro.separators.orders import (
+    DENSE_CUTOFF,
+    EIGSH_TOL,
+    RAMP_DELTA,
+    _component_fiedler,
+    _positive_components,
 )
 from repro.separators.solve import COUNTERS
 
@@ -280,3 +300,124 @@ class TestByteIdentity:
         assert "solver" not in r.record()
         for key in r.record()["metrics"]:
             assert key not in COUNTERS
+
+
+def components_instance():
+    """Float costs over a grid and a mesh bridged by zero-cost edges, with
+    zero-cost edges inside each part too: several positive-cost components,
+    two of them above ``DENSE_CUTOFF`` (n = 168 + 255 + 40)."""
+    rng = np.random.default_rng(5)
+    g = disjoint_union([grid_graph(12, 14), triangulated_mesh(15, 17), path_graph(40)])
+    costs = rng.lognormal(0.0, 0.8, g.m)
+    costs[rng.choice(g.m, 12, replace=False)] = 0.0
+    bridges = [[0, 168], [100, 300], [167, 423], [400, 462]]
+    return Graph(g.n, np.vstack([g.edges, bridges]), np.concatenate([costs, np.zeros(4)]))
+
+
+def iterative_components(g):
+    comp = _positive_components(g)
+    for cid in range(int(comp.max()) + 1):
+        members = np.flatnonzero(comp == cid)
+        if members.size >= DENSE_CUTOFF:
+            yield g.subgraph(members).graph
+
+
+def dense_reference(g):
+    """Second eigenvector of the ramped Laplacian by dense ``eigh``."""
+    adj = np.zeros((g.n, g.n))
+    adj[g.edges[:, 0], g.edges[:, 1]] = g.costs
+    adj += adj.T
+    deg = adj.sum(axis=1)
+    ramp = RAMP_DELTA * deg.mean() * np.arange(g.n) / (g.n - 1)
+    return np.linalg.eigh(np.diag(deg + ramp) - adj)[1][:, 1]
+
+
+class TestShiftInvertFactorization:
+    def test_components_cover_the_cases(self):
+        g = components_instance()
+        subs = list(iterative_components(g))
+        assert len(subs) == 2
+        assert all(DENSE_CUTOFF <= s.n <= 600 for s in subs)
+        assert all(float(s.costs.min()) == 0.0 for s in subs)
+        assert int(_positive_components(g).max()) + 1 > len(subs)
+
+    def test_factor_is_symmetric_without_pivoting(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        factors = []
+        real_splu = spla.splu
+
+        def recording_splu(*args, **kwargs):
+            factors.append(real_splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        for sub in iterative_components(components_instance()):
+            _component_fiedler(sub, None, EIGSH_TOL)
+        assert len(factors) == 2
+        for lu in factors:
+            assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    def test_vector_matches_dense_reference(self):
+        for sub in iterative_components(components_instance()):
+            a = _component_fiedler(sub, None, EIGSH_TOL)
+            b = dense_reference(sub)
+            cos = abs(float(a @ b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert cos >= 1.0 - 1e-9
+
+
+@pytest.fixture
+def failing_eigsh(monkeypatch):
+    """``eigsh`` that never converges, a captured event log, no solve cache
+    and a clean telemetry registry."""
+    import scipy.sparse.linalg as spla
+
+    def eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    monkeypatch.setenv("REPRO_ORACLE_CACHE", "0")
+    reset_telemetry()
+    log = io.StringIO()
+    events.configure(log)
+    try:
+        yield log
+    finally:
+        events.configure(None)
+        reset_telemetry()
+
+
+def fallback_events(log):
+    return [e for e in map(json.loads, log.getvalue().splitlines())
+            if e["event"] == "oracle.fallback"]
+
+
+class TestEigensolverFallback:
+    def test_fallback_order_is_bfs_levels_and_is_reported(self, failing_eigsh):
+        g = big_grid()
+        levels = bfs_levels(g, [pseudo_peripheral_vertex(g)]).astype(np.float64)
+        assert np.array_equal(fiedler_vector(g), levels)
+        assert np.array_equal(fiedler_order(g), np.argsort(levels, kind="stable"))
+        assert COUNTERS["fallbacks"] == 2
+        assert [(e["reason"], e["n"]) for e in fallback_events(failing_eigsh)] == [
+            ("ArpackNoConvergence", g.n)] * 2
+        if telemetry_enabled():
+            counters = registry().snapshot()["counters"]
+            assert counters["oracle_fallbacks{reason=ArpackNoConvergence}"] == 2
+
+    def test_records_identical_telemetry_on_off(self, failing_eigsh, monkeypatch):
+        scenario = Scenario(family="grid", size=16, k=4, weights="zipf")
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        reset_telemetry()
+        on = run_scenario(scenario).record()
+        fell_back = COUNTERS["fallbacks"]
+        assert fell_back > 0
+        counters = registry().snapshot()["counters"]
+        assert counters["oracle_fallbacks{reason=ArpackNoConvergence}"] == fell_back
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        reset_telemetry()
+        off = run_scenario(scenario).record()
+        assert COUNTERS["fallbacks"] == 2 * fell_back
+        assert "oracle_fallbacks{reason=ArpackNoConvergence}" not in registry().snapshot()["counters"]
+        assert len(fallback_events(failing_eigsh)) == 2 * fell_back
+        assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)

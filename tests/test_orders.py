@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import grid_graph, path_graph, triangulated_mesh, disjoint_union, unit_weights
+from repro.graphs import (
+    Graph,
+    disjoint_union,
+    grid_graph,
+    path_graph,
+    random_geometric_graph,
+    triangulated_mesh,
+    unit_weights,
+)
 from repro.separators import (
     bfs_peripheral_order,
     check_split_window,
@@ -16,6 +24,7 @@ from repro.separators import (
     random_order,
     sweep_split,
 )
+from repro.separators.orders import _prefix_cuts
 
 
 def orders_under_test(g):
@@ -118,3 +127,87 @@ class TestSweepSplit:
         candidates = np.flatnonzero(ok) + 1
         costs = [g.boundary_cost(order[:c]) for c in candidates]
         assert np.isclose(direct, min(costs))
+
+
+def loop_prefix_cuts(g, order):
+    """The prefix sweep as an interpreted running-sum loop — the bitwise
+    reference for :func:`_prefix_cuts`."""
+    n = order.size
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    tau = g.cost_degree()
+    cut_after = np.empty(n + 1, dtype=np.float64)
+    cut_after[0] = 0.0
+    earlier_cost = np.zeros(n, dtype=np.float64)
+    late = np.maximum(pos[g.edges[:, 0]], pos[g.edges[:, 1]])
+    np.add.at(earlier_cost, late, g.costs)
+    running = 0.0
+    tau_in_order = tau[order]
+    for i in range(n):
+        running += float(tau_in_order[i]) - 2.0 * float(earlier_cost[i])
+        cut_after[i + 1] = running
+    return cut_after
+
+
+def loop_sweep_split(g, order, weights, target):
+    """``sweep_split`` over the loop reference sweep (same window logic)."""
+    order = np.asarray(order, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    if order.size == 0:
+        return order
+    t = min(max(float(target), 0.0), float(w.sum()))
+    wmax = float(w.max())
+    ok = np.abs(np.cumsum(w[order]) - t) <= wmax / 2.0 + 1e-12 * max(1.0, wmax)
+    valid_counts = np.flatnonzero(ok) + 1
+    if abs(0.0 - t) <= wmax / 2.0 + 1e-12 * max(1.0, wmax):
+        valid_counts = np.concatenate([[0], valid_counts])
+    if valid_counts.size == 0:
+        return prefix_split(order, weights, target)
+    cut_after = loop_prefix_cuts(g, order)
+    return order[: valid_counts[int(np.argmin(cut_after[valid_counts]))]]
+
+
+def float_cost_instances():
+    rng = np.random.default_rng(7)
+    for g in (grid_graph(9, 13), triangulated_mesh(8, 11), random_geometric_graph(150, 0.15, rng=3)):
+        g = g.with_costs(rng.lognormal(0.0, 0.8, g.m))
+        yield g, rng.exponential(1.0, g.n) + 0.05, rng
+
+
+class TestSweepMatchesLoopReference:
+    def test_prefix_cuts_bitwise(self):
+        for g, _, rng in float_cost_instances():
+            for order in (fiedler_order(g), bfs_peripheral_order(g), random_order(g, rng=rng)):
+                assert _prefix_cuts(g, order).tobytes() == loop_prefix_cuts(g, order).tobytes()
+
+    def test_sweep_split_identical(self):
+        for g, w, rng in float_cost_instances():
+            order = fiedler_order(g)
+            for target in rng.uniform(0.0, w.sum(), 40):
+                assert np.array_equal(sweep_split(g, order, w, target),
+                                      loop_sweep_split(g, order, w, target))
+
+    def test_empty_window_falls_back_to_prefix(self):
+        # a partial order cannot reach the target: no prefix is in the window
+        g = grid_graph(4, 4)
+        w = np.ones(g.n)
+        order = index_order(g)[:5]
+        out = sweep_split(g, order, w, 12.0)
+        assert np.array_equal(out, prefix_split(order, w, 12.0))
+        assert np.array_equal(out, loop_sweep_split(g, order, w, 12.0))
+
+    def test_count_zero_prefix_wins(self):
+        # both 0 and 1 vertices lie in the window; the empty prefix cuts nothing
+        g = grid_graph(4, 4)
+        w = np.ones(g.n)
+        order = index_order(g)
+        out = sweep_split(g, order, w, 0.5)
+        assert out.size == 0
+        assert np.array_equal(out, loop_sweep_split(g, order, w, 0.5))
+
+    def test_single_vertex(self):
+        g = Graph(1, np.zeros((0, 2), dtype=np.int64))
+        order = index_order(g)
+        for target in (0.0, 1.0, 2.0):
+            assert np.array_equal(sweep_split(g, order, np.array([2.0]), target),
+                                  loop_sweep_split(g, order, np.array([2.0]), target))
