@@ -16,7 +16,8 @@ instance norms), which also land in ``benchmarks/out/e01.json``.
 import pytest
 
 from repro.analysis import Table, estimate_splittability
-from repro.runtime import ScenarioGrid, build_instance, make_oracle, run_scenario, run_sweep
+from repro.runtime import ScenarioGrid, build_instance, run_scenario, run_sweep
+from repro.separators import make_oracle
 
 ORACLE = make_oracle("best")
 KS = [2, 4, 8, 16, 32]

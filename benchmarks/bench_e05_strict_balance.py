@@ -21,7 +21,8 @@ import numpy as np
 from repro.analysis import Table
 from repro.core import min_max_partition
 from repro.graphs import grid_graph, unit_weights
-from repro.runtime import ScenarioGrid, make_oracle, run_scenario, run_sweep
+from repro.runtime import ScenarioGrid, run_scenario, run_sweep
+from repro.separators import make_oracle
 
 ORACLE = make_oracle("bfs")
 WEIGHT_FAMILIES = ["unit", "zipf", "bimodal", "one-heavy", "exponential", "geometric"]

@@ -3,10 +3,10 @@
 The refine primitive every layer funnels through (Theorem 4 post-pass,
 streaming repair, multilevel uncoarsening) has climbed two perf steps:
 the historical recompute-everything heap loop (``reference``), the
-incremental gain-table kernel (``incremental``), and now the array-native
-bucket-queue kernel (``bucket``, the default) whose flat
-:class:`~repro.core.kernels.KernelState` drives an optional runtime-compiled
-C inner loop.  This benchmark is the perf trajectory for that hot path:
+incremental gain-table kernel (``incremental``), and now the bucket-queue
+kernel (``bucket``, the default) whose dense passes run as one call into
+the runtime-compiled native module.  This benchmark is the perf trajectory
+for that hot path:
 
 * **Refine-dominated workloads** — random strictly-balanced labelings on
   large grids, refined for several rounds.  Two ablations per size:

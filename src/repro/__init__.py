@@ -38,7 +38,6 @@ from .separators import (
     GridOracle,
     SolveContext,
     SpectralOracle,
-    default_oracle,
     grid_split,
     make_oracle,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "REGISTRY",
     "SolveContext",
     "make_oracle",
-    "default_oracle",
     "grid_split",
     "__version__",
 ]

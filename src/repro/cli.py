@@ -126,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="escape hatch: keep journaling (if --journal-dir is "
                     "set) but never replay — crashed sessions report "
                     "'session lost' as without a journal")
-    sv.add_argument("--kernel",
-                    help="FM kernel the shards default to (bucket, incremental, "
-                    "reference); exported as REPRO_KERNEL before workers spawn")
     sv.add_argument("--no-oracle-cache", action="store_true",
                     help="disable the per-shard eigensolver result cache "
                     "(responses are byte-identical either way)")
@@ -514,20 +511,6 @@ def _run_serve(args) -> int:
         os.environ["REPRO_ORACLE_CACHE"] = "0"
     if args.oracle_cache_size is not None:
         os.environ["REPRO_ORACLE_CACHE_SIZE"] = str(args.oracle_cache_size)
-    if args.kernel is not None:
-        from .core.kernels import REGISTRY as _KERNELS
-
-        if args.kernel not in _KERNELS:
-            raise SystemExit(
-                f"serve: unknown kernel {args.kernel!r} "
-                f"(have {', '.join(sorted(_KERNELS))})"
-            )
-        os.environ["REPRO_KERNEL"] = args.kernel
-        # this process already imported core.kernels with the old default;
-        # pin it too so inline paths match the shards
-        from .core.kernels import set_default_kernel
-
-        set_default_kernel(args.kernel)
     if args.log_json:
         from .obs import events
 

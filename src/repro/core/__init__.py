@@ -35,13 +35,9 @@ from .shrink import (
 from .hierarchy import HierarchicalResult, hierarchical_partition
 from .kernels import (
     DEFAULT_KERNEL,
-    KernelState,
-    PairKernel,
     fm_pair_pass,
     fm_pair_pass_bucket,
     fm_pair_pass_reference,
-    kernel_override,
-    make_kernel,
     run_pair_kernel,
     use_kernel,
 )
@@ -65,13 +61,9 @@ __all__ = [
     "hierarchical_partition",
     "pairwise_refine",
     "DEFAULT_KERNEL",
-    "KernelState",
-    "PairKernel",
     "fm_pair_pass",
     "fm_pair_pass_bucket",
     "fm_pair_pass_reference",
-    "kernel_override",
-    "make_kernel",
     "run_pair_kernel",
     "use_kernel",
     "binpack_merge",

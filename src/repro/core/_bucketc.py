@@ -19,24 +19,25 @@ routine is needed — never at import — and the shared object is cached under
 
 Every routine reproduces its Python counterpart exactly:
 
-* The FM move loop is an instruction-for-instruction transcription of
-  ``kernels._bucket_dense_pass_py``: the same pops, the same stale re-arms,
-  the same window checks, and the same IEEE-754 double operations in the
-  same order (compiled with ``-ffp-contract=off`` so no fused multiply-adds
-  change a single bit).  Initial gains are summed per CSR row instead of
-  per edge; the pass only runs on integer costs, where every such sum is
-  exact in any order.
+* The FM move loop makes the decisions of the heap kernels
+  (``kernels._dense_pass`` and the ``reference`` loop): the same
+  ``(gain, vertex-id)`` pop order, stale entries re-armed at the current
+  gain as the heap re-enqueues them, the same window checks, and the same
+  IEEE-754 double operations in the same order (compiled with
+  ``-ffp-contract=off`` so no fused multiply-adds change a single bit).
+  Initial gains are summed per CSR row instead of per edge; the pass only
+  runs on integer costs, where every such sum is exact in any order.
 * BFS distances are exact; an order lists each component's vertices by
   ``(level, id)``, the order the numpy frontier loop's per-level
   ``np.unique`` yields; components are numbered by lowest vertex id.
 
 Labels and every traversal output are therefore byte-identical to the
-Python paths — held by ``tests/test_kernels.py`` and
-``tests/test_components.py``.
+Python paths — held by ``tests/test_kernels.py`` (against the heap kernels)
+and ``tests/test_components.py``.
 
 ``REPRO_BUCKET_C=0`` switches off all native code.  Without it, or without
 a compiler, or when the compile or the ``dlopen`` fails, every caller falls
-back to the pure-Python loop and the numpy traversals.  The fallback is
+back to the gain-table heap and the numpy traversals.  The fallback is
 observable: a ``native.unavailable`` event carrying the reason, and a
 ``native_unavailable{reason=...}`` gauge (``native_loaded`` when loaded) in
 the telemetry registry, which the service's ``stats`` op merges across
@@ -334,7 +335,7 @@ def _compile(cc: str, sofile: pathlib.Path) -> None:
         csrc.write_text(_C_SOURCE)
         tmp = pathlib.Path(td) / "native.so"
         # -ffp-contract=off: no FMA contraction — double ops must match the
-        # Python loop bit-for-bit for byte-identity
+        # heap kernels bit-for-bit for byte-identity
         subprocess.run(
             [cc, "-std=c11", "-O2", "-ffp-contract=off", "-fPIC", "-shared",
              str(csrc), "-o", str(tmp)],

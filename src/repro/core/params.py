@@ -50,7 +50,8 @@ class DecompositionParams:
     #: guarantees are unchanged, the constants improve.
     seed_with_bisection: bool = True
     #: run the balance-preserving pairwise FM post-pass (engineering
-    #: refinement on top of the theory; can only reduce boundary costs).
+    #: refinement on top of the theory).  It never raises the total cut,
+    #: but it can raise the maximum class boundary that Theorem 4 bounds.
     final_refine: bool = True
     #: FM post-pass rounds.
     refine_rounds: int = 3

@@ -3,9 +3,12 @@
 A practical post-pass on top of the Theorem 4 pipeline: pairwise
 Fiduccia–Mattheyses moves between classes that share boundary, constrained so
 every class stays inside Definition 1's strict-balance window.  The theory
-never needs this stage (it can only reduce boundary costs); it tightens the
-constants the experiments report, the same role FM plays inside multilevel
-partitioners.
+never needs this stage; it tightens the constants the experiments report,
+the same role FM plays inside multilevel partitioners.  It never raises the
+total cut, but it can raise the *maximum* class boundary, the quantity
+Theorem 4 bounds: a move from ``i`` to ``j`` carries the vertex's edges to
+third classes from ``∂i`` into ``∂j``, so ``j``'s boundary can grow while
+the pair's cut shrinks.
 
 Moves are evaluated on the *host* graph: flipping ``v`` from class ``i`` to
 ``j`` changes the total bichromatic cost by ``c(v→i edges) − c(v→j edges)``
@@ -13,12 +16,12 @@ Moves are evaluated on the *host* graph: flipping ``v`` from class ``i`` to
 cut while the per-class weight windows are enforced exactly.
 
 The per-pair move loop itself lives in :mod:`repro.core.kernels` (the
-incremental gain-table kernel, with the historical recompute-on-pop loop
-kept as the ``reference`` ablation); this module owns the k-way
-orchestration, including incremental maintenance of the pair boundary costs
-across rounds — after a pass commits moves, only the pairs touched by the
-moved vertices' incident edges are re-aggregated instead of re-scanning all
-``m`` edges every round.
+native bucket pass and the gain-table heap, with the historical
+recompute-on-pop loop kept as the ``reference`` ablation); this module owns
+the k-way orchestration, including incremental maintenance of the pair
+boundary costs across rounds — after a pass commits moves, only the pairs
+touched by the moved vertices' incident edges are re-aggregated instead of
+re-scanning all ``m`` edges every round.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ Quick use::
 The ``repro sweep`` CLI subcommand exposes the same engine from the shell.
 """
 
-from .algorithms import ALGORITHMS, make_oracle, run_algorithm
+from .algorithms import ALGORITHMS, run_algorithm
 from .engine import run_scenario, run_sweep
 from .instances import COST_DISTS, FAMILIES, WEIGHT_DISTS, Instance, InstanceCache, build_instance
 from .results import (
@@ -49,7 +49,6 @@ __all__ = [
     "build_instance",
     "compare_to_baseline",
     "derive_seed",
-    "make_oracle",
     "read_results",
     "results_from_dict",
     "results_table",

@@ -10,8 +10,6 @@ processes never need to pickle oracle objects.
 
 from __future__ import annotations
 
-import warnings
-
 from ..baselines import (
     greedy_list_scheduling,
     kst_partition,
@@ -21,7 +19,7 @@ from ..baselines import (
 from ..core import DecompositionParams, min_max_partition
 from ..core.kernels import REGISTRY as KERNEL_REGISTRY
 from ..core.kernels import default_kernel
-from ..separators import make_oracle as _registry_make_oracle
+from ..separators import make_oracle
 from .instances import Instance
 from .scenario import Scenario
 
@@ -29,7 +27,6 @@ __all__ = [
     "ALGORITHMS",
     "KERNEL_ALGORITHMS",
     "ORACLE_ALGORITHMS",
-    "make_oracle",
     "resolved_kernel_name",
     "resolved_oracle_name",
     "run_algorithm",
@@ -44,25 +41,8 @@ ORACLE_ALGORITHMS = frozenset({"minmax", "recursive-bisection", "kst"})
 KERNEL_ALGORITHMS = frozenset({"minmax", "multilevel", "stream"})
 
 
-def make_oracle(name: str, seed: int = 0):
-    """Deprecated shim — use :func:`repro.separators.make_oracle`.
-
-    Kept so existing grids/presets (and external callers) keep working;
-    raises ``KeyError`` for unknown names as the old builder did.
-    """
-    warnings.warn(
-        "repro.runtime.make_oracle is deprecated; use repro.separators.make_oracle",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        return _registry_make_oracle(name, seed=seed)
-    except ValueError as exc:
-        raise KeyError(str(exc)) from None
-
-
 def _oracle_for(scenario: Scenario):
-    return _registry_make_oracle(
+    return make_oracle(
         scenario.param_dict.get("oracle", "best"), seed=scenario.algorithm_seed()
     )
 
@@ -81,9 +61,10 @@ def resolved_kernel_name(scenario: Scenario) -> str | None:
 
     A ``kernel`` param wins; otherwise the process default applies — the
     :data:`~repro.core.kernels.DEFAULT_KERNEL` constant unless the process
-    pinned ``REPRO_KERNEL`` at startup (as ``repro serve --kernel`` does for
-    its shards).  Either way the name is fixed before any scenario runs, so
-    it is safe to record in the deterministic result payload.
+    pinned ``REPRO_KERNEL`` at startup (``REPRO_KERNEL=<name> repro serve``
+    pins the front end and every shard).  Either way the name is fixed
+    before any scenario runs, so it is safe to record in the deterministic
+    result payload.
     """
     if scenario.algorithm not in KERNEL_ALGORITHMS:
         return None

@@ -9,7 +9,6 @@ in cut quality and cost model:
 ``BfsOracle``     BFS-layer sweep from a pseudo-peripheral vertex
 ``SpectralOracle``Fiedler-order sweep cut (default general-purpose)
 ``BestOfOracle``  min-cut over a portfolio of oracles
-``RefinedOracle`` any oracle + FM local refinement
 ``GridOracle``    §6 ``GridSplit`` (see :mod:`repro.separators.grid`)
 ================  ====================================================
 
@@ -27,13 +26,11 @@ oracles remain valid — dispatch through
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
 
 from ..graphs.graph import Graph
-from .fm import fm_refine
 from .orders import (
     bfs_peripheral_order,
     fiedler_order,
@@ -52,10 +49,8 @@ __all__ = [
     "SpectralOracle",
     "RandomOracle",
     "BestOfOracle",
-    "RefinedOracle",
     "REGISTRY",
     "make_oracle",
-    "default_oracle",
 ]
 
 
@@ -170,30 +165,6 @@ class BestOfOracle:
         return f"BestOfOracle({self.oracles!r})"
 
 
-class RefinedOracle:
-    """Wrap an oracle with an FM refinement pass (window-preserving)."""
-
-    accepts_ctx = True
-
-    def __init__(self, base=None, max_passes: int = 3):
-        self.base = base if base is not None else SpectralOracle()
-        self.max_passes = max_passes
-
-    @property
-    def name(self) -> str:
-        return f"refined({self.base.name})"
-
-    def split(self, g: Graph, weights: np.ndarray, target: float, ctx=None) -> np.ndarray:
-        u = oracle_split(self.base, g, weights, target, ctx)
-        if g.n > 20_000:
-            # FM is a python loop over boundary vertices; skip on big inputs
-            return u
-        return fm_refine(g, u, weights, target, max_passes=self.max_passes)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RefinedOracle({self.base!r})"
-
-
 # ----------------------------------------------------------------------
 # registry — the one place oracle names resolve to instances
 # ----------------------------------------------------------------------
@@ -211,9 +182,8 @@ def _default_portfolio(seed: int = 0, g: Graph | None = None):
     return BestOfOracle(oracles)
 
 
-#: ``name -> builder(seed=..., g=...)``; the sweep grid's ``oracle=`` param,
-#: ``repro.separators.make_oracle`` and the (deprecated)
-#: ``runtime.make_oracle`` / ``default_oracle`` entry points all resolve here
+#: ``name -> builder(seed=..., g=...)``; the sweep grid's ``oracle=`` param
+#: and :func:`make_oracle` resolve here
 REGISTRY = {
     "best": lambda seed=0, g=None: BestOfOracle([BfsOracle(), SpectralOracle()]),
     "best3": lambda seed=0, g=None: BestOfOracle([BfsOracle(), SpectralOracle(), _grid_oracle()]),
@@ -223,7 +193,6 @@ REGISTRY = {
     "index": lambda seed=0, g=None: IndexOracle(),
     "grid": lambda seed=0, g=None: _grid_oracle(),
     "random": lambda seed=0, g=None: RandomOracle(seed=seed),
-    "refined": lambda seed=0, g=None: RefinedOracle(),
     "default": _default_portfolio,
 }
 
@@ -239,13 +208,3 @@ def make_oracle(name: str, seed: int = 0, g: Graph | None = None):
     except KeyError:
         raise ValueError(f"unknown oracle {name!r}; known: {', '.join(sorted(REGISTRY))}") from None
     return builder(seed=seed, g=g)
-
-
-def default_oracle(g: Graph | None = None):
-    """Deprecated alias for ``make_oracle("default", g=g)``."""
-    warnings.warn(
-        "default_oracle() is deprecated; use repro.separators.make_oracle('default', g=g)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return make_oracle("default", g=g)

@@ -5,8 +5,8 @@ The contract under test: a :class:`GraphState` grown through any sequence of
 identical* — same structural hash, same CSR arrays, same weights — to a
 :class:`Graph` built from scratch from the final edge set over the final
 index space.  Property-tested over seeded random mutation programs, plus
-directed cases for the incremental CSR patcher, the kernel-state growth
-hooks, and the repair-path seeding of arrived vertices.
+directed cases for the incremental CSR patcher, the gain-table growth
+hook, and the repair-path seeding of arrived vertices.
 """
 
 import hashlib
@@ -15,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.kernels import KernelState
 from repro.graphs import grid_graph, zipf_weights
 from repro.graphs.components import is_connected, is_connected_within
 from repro.graphs.graph import Graph
@@ -250,32 +249,7 @@ def test_patch_graph_rejects_unknown_edges_and_unsorted_base():
 
 
 # ----------------------------------------------------------------------
-# kernel-state growth: KernelState.grow / enqueue, BoundaryGainTable.grow
-
-
-def test_kernel_state_grow_preserves_queue_and_admits_fresh():
-    g = grid_graph(4, 4)
-    labels = (np.arange(g.n) % 2).astype(np.int64)
-    in_pair = np.ones(g.n, dtype=bool)
-    members = np.arange(g.n, dtype=np.int64)
-    ks = KernelState.build(g, labels, in_pair, in_pair.copy(), members, offset=8)
-    before_active = ks.active()
-    before_gains = ks.gains.copy()
-    ks.grow(g.n + 4)
-    assert ks.n == g.n + 4
-    # occupancy survives the row re-stride byte-for-byte
-    np.testing.assert_array_equal(ks.active(), before_active)
-    np.testing.assert_array_equal(ks.gains[: g.n], before_gains)
-    assert not ks.member[g.n:].any() and not ks.locked[g.n:].any()
-    # a fresh vertex is admitted with its own gain bucket
-    ks.enqueue(g.n + 1, 3)
-    assert g.n + 1 in ks.active().tolist()
-    assert ks.gains[g.n + 1] == 3.0 and ks.member[g.n + 1]
-    assert ks.maxb >= 3 + ks.offset
-    with pytest.raises(ValueError):
-        ks.grow(g.n)
-    with pytest.raises(ValueError):
-        ks.enqueue(g.n + 2, 99)  # outside the bucket range
+# BoundaryGainTable.grow
 
 
 def test_boundary_gain_table_grow_matches_fresh_build():

@@ -6,10 +6,10 @@ recompute-on-pop loop (``reference``).  On integer-valued edge costs every
 gain is exact in all three, so equality is literal — same moves, same order,
 same kept prefix — including zero-cost edges, ``movable`` masks, uncolored
 vertices, singleton classes, negative-gain-only instances, and every
-``max_moves`` truncation point.  The bucket kernel's compiled loop and its
-pure-Python twin are both held to that contract (the C loop is exercised
-wherever a compiler exists, and explicitly disabled via monkeypatching in
-the forced-Python tests).
+``max_moves`` truncation point.  The bucket kernel's compiled pass and its
+no-native fallback (the heap) are both held to that contract (the C pass is
+exercised wherever a compiler exists, and disabled by setting ``_bucket_c``
+to ``None`` in the fallback tests).
 """
 
 import ctypes
@@ -21,22 +21,17 @@ import repro.core.kernels as K
 from repro.core import Coloring, kway_refine
 from repro.core.kernels import (
     DEFAULT_KERNEL,
-    KERNELS,
     REGISTRY,
-    KernelState,
-    PairKernel,
     default_kernel,
     fm_pair_pass,
     fm_pair_pass_bucket,
     fm_pair_pass_reference,
-    kernel_override,
-    make_kernel,
     run_pair_kernel,
-    set_default_kernel,
     use_kernel,
 )
 from repro.graphs import grid_graph, triangulated_mesh
 from repro.graphs.graph import Graph
+from repro.obs import registry, reset_telemetry
 
 ALL_KERNELS = (fm_pair_pass_reference, fm_pair_pass, fm_pair_pass_bucket)
 
@@ -107,8 +102,8 @@ class TestPairEquivalence:
 
     @pytest.mark.parametrize("trial", range(6))
     def test_random_instances_python_bucket_loop(self, trial, monkeypatch):
-        """The pure-Python bucket loop obeys the same contract as the
-        compiled one (and as both heap kernels)."""
+        """With native code off, ``bucket`` falls back to the heap under the
+        same contract as the compiled pass (and as both heap kernels)."""
         monkeypatch.setattr(K, "_bucket_c", None)
         rng = np.random.default_rng(900 + trial)
         g, w, k, labels = random_instance(rng, with_uncolored=trial % 2 == 0)
@@ -259,8 +254,8 @@ def split_grid_instance(rng, side=12):
     return g, w, labels, total / 2 - span, total / 2 + span
 
 
-def native_python_reference(g, labels, w, lo, hi, monkeypatch, **kw):
-    """(native run, Python-loop run, reference run), each on a copy."""
+def native_heap_reference(g, labels, w, lo, hi, monkeypatch, **kw):
+    """(native run, heap-fallback run, reference run), each on a copy."""
     spy = _SpyLib(_native_or_skip())
     monkeypatch.setattr(K, "_bucket_c", spy)
     la = labels.copy()
@@ -275,13 +270,13 @@ def native_python_reference(g, labels, w, lo, hi, monkeypatch, **kw):
 
 class TestNativeBucketPass:
     """The one-call native pass (gains, bitmap, loop, rollback in C) against
-    the Python bucket loop and the reference kernel."""
+    the heap fallback and the reference kernel."""
 
     @pytest.mark.parametrize("trial", range(8))
     def test_rollback_heavy_passes(self, trial, monkeypatch):
         rng = np.random.default_rng(1300 + trial)
         g, w, labels, lo, hi = split_grid_instance(rng)
-        calls, runs = native_python_reference(g, labels, w, lo, hi, monkeypatch)
+        calls, runs = native_heap_reference(g, labels, w, lo, hi, monkeypatch)
         assert_all_equal(runs)
         ((nmoves, best_prefix),) = calls
         # most explored moves are undone, in C
@@ -292,7 +287,7 @@ class TestNativeBucketPass:
     def test_max_moves_caps(self, max_moves, monkeypatch):
         rng = np.random.default_rng(77)
         g, w, labels, lo, hi = split_grid_instance(rng, side=10)
-        calls, runs = native_python_reference(
+        calls, runs = native_heap_reference(
             g, labels, w, lo, hi, monkeypatch, max_moves=max_moves)
         assert_all_equal(runs)
         ((nmoves, _),) = calls
@@ -306,7 +301,7 @@ class TestNativeBucketPass:
         w = np.ones(g.n)
         labels = np.zeros(g.n, dtype=np.int64)
         labels[[7, 15]] = 1
-        calls, runs = native_python_reference(
+        calls, runs = native_heap_reference(
             g, labels, w, 30.0, 34.0, monkeypatch, max_moves=2)
         assert_all_equal(runs)
         assert calls == [(2, 0)]
@@ -316,12 +311,14 @@ class TestNativeBucketPass:
 
     @pytest.mark.parametrize("layout", ["int32", "strided"])
     def test_labels_native_cannot_address_take_python_loop(self, layout, monkeypatch):
+        """Labels the C routine cannot address (not int64, or strided) take
+        the heap, a Python loop, with the reference kernel's result."""
         _native_or_skip()
 
         def trap(*args, **kwargs):
             raise AssertionError("native pass reached with unaddressable labels")
 
-        monkeypatch.setattr(K, "_bucket_dense_pass_c", trap)
+        monkeypatch.setattr(K, "_native_pass", trap)
         rng = np.random.default_rng(5)
         g, w, labels, lo, hi = split_grid_instance(rng)
         if layout == "int32":
@@ -336,43 +333,83 @@ class TestNativeBucketPass:
         assert np.array_equal(lab, want)
 
 
-class TestKernelState:
-    def test_build_invariants(self):
-        rng = np.random.default_rng(3)
-        g, w, k, labels = random_instance(rng)
-        in_pair = (labels == 0) | (labels == 1)
-        member_mask = in_pair.copy()
-        members = np.flatnonzero(member_mask).astype(np.int64)
-        offset = int(g.max_cost_degree())
-        state = KernelState.build(g, labels, in_pair, member_mask, members, offset)
-        assert (state.n, state.offset, state.nbuckets) == (g.n, offset, 2 * offset + 1)
-        # every member holds exactly one entry, in the bucket its gain names
-        assert np.array_equal(state.active(), members)
-        assert state.counts.sum() == members.size
-        gains = K._initial_pair_gains(g, labels, in_pair)
-        assert np.array_equal(state.gains, gains)
-        view = np.frombuffer(state.table, dtype=np.uint8).reshape(
-            state.nbuckets, state.n
-        )
-        buckets = gains[members].astype(np.int64) + offset
-        assert np.all(view[buckets, members] == 1)
-        assert view.sum() == members.size
-        assert state.maxb == int(buckets.max())
-        # heads are valid lower bounds: no set byte below a head
-        for b in range(state.nbuckets):
-            h = int(state.heads[b])
-            assert not view[b, :h].any()
-        assert not state.locked.any()
-        assert np.array_equal(state.member, member_mask)
+class TestPassInputs:
+    """Integer masks and numpy scalars mean what their bool / Python
+    equivalents mean, in every kernel and on the native path too."""
 
-    def test_empty_members(self):
-        g = grid_graph(3, 3)
-        labels = np.full(g.n, 2, dtype=np.int64)
-        in_pair = (labels == 0) | (labels == 1)
-        members = np.flatnonzero(in_pair).astype(np.int64)
-        state = KernelState.build(g, labels, in_pair, in_pair, members, 2)
-        assert state.maxb == -1
-        assert state.active().size == 0
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_movable_mask_matches_bool(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        g = grid_graph(16, 16)
+        labels = np.repeat(np.arange(4), g.n // 4).astype(np.int64)
+        rng.shuffle(labels)
+        movable = rng.random(g.n) < 0.6
+        w = np.ones(g.n)
+        lo, hi = g.n / 4 - 1.0, g.n / 4 + 1.0
+        # the masked members exceed n/8, so this is a dense pass
+        assert np.count_nonzero(((labels == 0) | (labels == 1)) & movable) * 8 > g.n
+        want = all_kernels(g, labels, w, 0, 1, lo, hi, movable=movable)
+        assert want[0][1][0], "the pass should move something"
+        got = all_kernels(g, labels, w, 0, 1, lo, hi, movable=movable.astype(dtype))
+        assert_all_equal(want + got)
+
+    def test_numpy_scalar_bounds_and_class_ids(self):
+        g, w, labels, lo, hi = split_grid_instance(np.random.default_rng(11))
+        want = all_kernels(g, labels, w, 0, 1, lo, hi)
+        got = all_kernels(
+            g, labels, w, np.int64(0), np.int64(1), np.float64(lo), np.float64(hi))
+        assert_all_equal(want + got)
+
+
+@pytest.fixture
+def kernel_path_counts(monkeypatch):
+    """Telemetry on over an empty registry; yields a reader of the
+    ``kernel_passes{path=...}`` counters."""
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    reset_telemetry()
+
+    def counts():
+        counters = registry().snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("kernel_passes")}
+
+    yield counts
+    monkeypatch.undo()
+    reset_telemetry()
+
+
+class TestPathTelemetry:
+    """Each dispatched pass counts the path it took."""
+
+    def test_integer_costs_count_native(self, kernel_path_counts):
+        _native_or_skip()
+        g, w, labels, lo, hi = split_grid_instance(np.random.default_rng(3))
+        fm_pair_pass_bucket(g, labels.copy(), w, 0, 1, lo, hi)
+        assert kernel_path_counts() == {"kernel_passes{path=native}": 1}
+
+    def test_float_costs_and_no_native_count_heap(self, kernel_path_counts, monkeypatch):
+        g, w, labels, lo, hi = split_grid_instance(np.random.default_rng(3))
+        fm_pair_pass_bucket(g.with_costs(g.costs + 0.5), labels.copy(), w, 0, 1, lo, hi)
+        monkeypatch.setattr(K, "_bucket_c", None)
+        fm_pair_pass_bucket(g, labels.copy(), w, 0, 1, lo, hi)
+        fm_pair_pass(g, labels.copy(), w, 0, 1, lo, hi)
+        assert kernel_path_counts() == {"kernel_passes{path=heap}": 3}
+
+    def test_sparse_mask_counts_restricted(self, kernel_path_counts):
+        g, w, labels, lo, hi = split_grid_instance(np.random.default_rng(3))
+        movable = np.zeros(g.n, dtype=bool)
+        movable[: g.n // 16] = True
+        fm_pair_pass_bucket(g, labels.copy(), w, 0, 1, lo, hi, movable=movable)
+        fm_pair_pass(g, labels.copy(), w, 0, 1, lo, hi, movable=movable)
+        assert kernel_path_counts() == {"kernel_passes{path=restricted}": 2}
+
+    def test_nothing_counted_with_telemetry_off(self, kernel_path_counts, monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        reset_telemetry()
+        g, w, labels, lo, hi = split_grid_instance(np.random.default_rng(3))
+        fm_pair_pass_bucket(g, labels.copy(), w, 0, 1, lo, hi)
+        fm_pair_pass(g, labels.copy(), w, 0, 1, lo, hi)
+        assert kernel_path_counts() == {}
 
 
 class TestWindowSlack:
@@ -452,17 +489,9 @@ class TestKernelRegistry:
     def test_registry_names(self):
         assert set(REGISTRY) == {"bucket", "incremental", "reference"}
         assert DEFAULT_KERNEL == "bucket"
-
-    def test_make_kernel_builds_named_kernels(self):
-        for name in REGISTRY:
-            kernel = make_kernel(name)
-            assert isinstance(kernel, PairKernel)
-            assert kernel.name == name
-            assert repr(kernel) == f"{type(kernel).__name__}()"
-
-    def test_make_kernel_unknown_is_value_error(self):
-        with pytest.raises(ValueError, match="unknown FM kernel 'nope'"):
-            make_kernel("nope")
+        assert REGISTRY["bucket"] is fm_pair_pass_bucket
+        assert REGISTRY["incremental"] is fm_pair_pass
+        assert REGISTRY["reference"] is fm_pair_pass_reference
 
     def test_kernel_objects_are_callable(self):
         g = grid_graph(4, 4)
@@ -471,7 +500,7 @@ class TestKernelRegistry:
         runs = []
         for name in sorted(REGISTRY):
             lab = labels.copy()
-            runs.append((lab, make_kernel(name)(g, lab, w, 0, 1, 0.0, 100.0)))
+            runs.append((lab, REGISTRY[name](g, lab, w, 0, 1, 0.0, 100.0)))
         assert_all_equal(runs)
 
     def test_default_and_override(self):
@@ -485,31 +514,13 @@ class TestKernelRegistry:
             with use_kernel("nope"):
                 pass  # pragma: no cover
 
-    def test_unknown_kernel_rejected_legacy_key_error(self):
-        with pytest.raises(KeyError):
-            set_default_kernel("nope")
+    def test_unknown_kernel_rejected_value_error(self):
         g = grid_graph(3, 3)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown FM kernel 'nope'; known: bucket"):
             run_pair_kernel(
                 g, np.zeros(g.n, dtype=np.int64), np.ones(g.n), 0, 1, 0.0, 9.0,
                 kernel="nope",
             )
-
-    def test_kernel_override_shim_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="kernel_override"):
-            with kernel_override("reference"):
-                assert default_kernel() == "reference"
-        assert default_kernel() == "bucket"
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                with kernel_override("nope"):
-                    pass  # pragma: no cover
-
-    def test_kernels_dict_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="KERNELS is deprecated"):
-            fn = KERNELS["incremental"]
-        assert fn is fm_pair_pass
-        assert set(KERNELS) == {"bucket", "incremental", "reference"}
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "reference")

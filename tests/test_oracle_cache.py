@@ -232,21 +232,9 @@ class TestRegistry:
         with pytest.raises(ValueError, match="spectral"):
             make_oracle("typo")  # the message lists the known names
 
-    def test_runtime_shim_warns_and_keeps_keyerror(self):
-        from repro.runtime import make_oracle as runtime_make_oracle
-
-        with pytest.warns(DeprecationWarning, match="repro.separators.make_oracle"):
-            oracle = runtime_make_oracle("bfs")
-        assert oracle.name == "bfs"
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                runtime_make_oracle("nope")
-
     def test_composite_names_reflect_parts(self):
         best = make_oracle("best")
         assert best.name.startswith("best(") and "spectral" in best.name
-        refined = make_oracle("refined")
-        assert refined.name.startswith("refined(")
 
     def test_grid_oracle_dispatch_with_context(self):
         g = grid_graph(8, 8)

@@ -1,4 +1,4 @@
-"""Tests for the oracle portfolio and FM refinement."""
+"""Tests for the oracle portfolio."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from repro.separators import (
     IndexOracle,
     LexOracle,
     RandomOracle,
-    RefinedOracle,
     SpectralOracle,
     check_split_window,
-    default_oracle,
-    fm_refine,
     make_oracle,
     split_result,
 )
@@ -26,7 +23,6 @@ ALL_ORACLES = [
     SpectralOracle(),
     RandomOracle(seed=1),
     BestOfOracle(),
-    RefinedOracle(),
 ]
 
 
@@ -82,71 +78,6 @@ class TestQualityOrdering:
         assert "grid" in names
         u = oracle.split(g, unit_weights(g), 18.0)
         assert check_split_window(unit_weights(g), 18.0, u)
-
-    def test_default_oracle_shim_warns(self):
-        g = grid_graph(6, 6)
-        with pytest.warns(DeprecationWarning):
-            oracle = default_oracle(g)
-        assert "grid" in [o.name for o in oracle.oracles]
-
-
-class TestFmRefine:
-    def test_refinement_never_increases_cut(self):
-        g = triangulated_mesh(7, 7)
-        w = unit_weights(g)
-        u0 = IndexOracle().split(g, w, g.n / 2.0)
-        u1 = fm_refine(g, u0, w, g.n / 2.0)
-        assert g.boundary_cost(u1) <= g.boundary_cost(u0) + 1e-9
-        assert check_split_window(w, g.n / 2.0, u1)
-
-    def test_refinement_fixes_bad_random_cut(self):
-        g = grid_graph(8, 8)
-        w = unit_weights(g)
-        u0 = RandomOracle(seed=5).split(g, w, g.n / 2.0)
-        u1 = fm_refine(g, u0, w, g.n / 2.0, max_passes=8)
-        assert g.boundary_cost(u1) < g.boundary_cost(u0)
-
-    def test_refine_empty_set(self):
-        g = grid_graph(3, 3)
-        out = fm_refine(g, np.zeros(0, dtype=np.int64), unit_weights(g), 0.0)
-        assert check_split_window(unit_weights(g), 0.0, out)
-
-    def test_refine_empty_graph(self):
-        from repro.graphs.graph import Graph
-
-        g = Graph(0, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
-        out = fm_refine(g, np.zeros(0, dtype=np.int64), np.zeros(0), 0.0)
-        assert out.dtype == np.int64 and out.size == 0
-
-    def test_zero_moves_per_pass_is_identity(self):
-        g = grid_graph(8, 8)
-        w = unit_weights(g)
-        u0 = RandomOracle(seed=5).split(g, w, g.n / 2.0)
-        out = fm_refine(g, u0, w, g.n / 2.0, max_moves_per_pass=0)
-        assert sorted(out) == sorted(u0)
-
-    def test_moves_per_pass_truncation_still_valid(self):
-        g = grid_graph(8, 8)
-        w = unit_weights(g)
-        u0 = RandomOracle(seed=5).split(g, w, g.n / 2.0)
-        full = fm_refine(g, u0, w, g.n / 2.0, max_passes=8)
-        truncated = fm_refine(g, u0, w, g.n / 2.0, max_passes=8, max_moves_per_pass=2)
-        assert check_split_window(w, g.n / 2.0, truncated)
-        assert g.boundary_cost(truncated) <= g.boundary_cost(u0) + 1e-9
-        # two moves per pass explore less than the full move budget
-        assert g.boundary_cost(full) <= g.boundary_cost(truncated) + 1e-9
-
-    def test_single_pass_no_improvement_keeps_optimum(self):
-        # a path split at its midpoint has the unique optimal cut of 1;
-        # the first pass finds no improvement and the loop must stop there
-        from repro.graphs import path_graph
-
-        g = path_graph(10)
-        w = unit_weights(g)
-        u0 = np.arange(5, dtype=np.int64)
-        out = fm_refine(g, u0, w, 5.0, max_passes=1)
-        assert g.boundary_cost(out) == g.boundary_cost(u0) == 1.0
-        assert check_split_window(w, 5.0, out)
 
 
 class TestSplitResult:

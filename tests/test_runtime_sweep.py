@@ -246,12 +246,12 @@ class TestSweepCli:
 
 
 def test_make_oracle_names():
-    from repro.runtime import make_oracle
+    from repro.separators import make_oracle
 
-    with pytest.raises(KeyError, match="unknown oracle 'nope'"):
+    with pytest.raises(ValueError, match="unknown oracle 'nope'"):
         make_oracle("nope")
     # the error names the available oracles so callers can self-correct
-    with pytest.raises(KeyError, match="bfs"):
+    with pytest.raises(ValueError, match="bfs"):
         make_oracle("typo")
     for name in ("best", "best3", "bfs", "spectral", "grid", "index", "random"):
         assert make_oracle(name, seed=1) is not None
