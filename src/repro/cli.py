@@ -104,9 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="additionally bound the coloring cache by total "
                     "canonical-record bytes (cost-aware eviction)")
     sv.add_argument("--max-batch-size", type=int, default=32,
-                    help="flush a micro-batch at this many requests")
-    sv.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="flush a micro-batch after this many milliseconds")
+                    help="flush a micro-batch at this many requests (a "
+                    "batch otherwise flushes on the next event-loop turn)")
     sv.add_argument("--cache-dir", help="on-disk instance cache for the shards")
     sv.add_argument("--npz-root", help="directory npz-ref requests may read from "
                     "(npz refs are rejected unless this is set)")
@@ -520,7 +519,6 @@ def _run_serve(args) -> int:
             shards=args.shards,
             cache_size=args.cache_size,
             max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
             cache_dir=args.cache_dir,
             npz_root=args.npz_root,
             cache_max_bytes=args.cache_max_bytes,
@@ -530,15 +528,16 @@ def _run_serve(args) -> int:
             recovery=not args.no_recovery,
             slow_request_s=args.slow_ms / 1000.0 if args.slow_ms is not None else None,
         )
-    except (JournalError, OSError) as exc:
+    except (JournalError, OSError, ValueError) as exc:
         # an unusable --journal-dir (unwritable, or owned by another
-        # server) is an operator error: one line, not a traceback
+        # server) or an out-of-range size is an operator error: one line,
+        # not a traceback
         raise SystemExit(f"serve: {exc}") from exc
 
     def _ready(host, port):
         print(f"serve: listening on {host}:{port} "
               f"(shards={args.shards}, cache={args.cache_size}, "
-              f"batch={args.max_batch_size}/{args.max_wait_ms}ms)",
+              f"batch={args.max_batch_size})",
               file=sys.stderr, flush=True)
 
     def _metrics_ready(host, port):

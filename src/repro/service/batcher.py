@@ -1,10 +1,13 @@
 """Micro-batching for the request path.
 
 Incoming requests are appended to a pending list; the list is flushed to the
-dispatch callback when it reaches ``max_batch_size`` (size flush) or when the
-oldest pending request has waited ``max_wait_ms`` (timeout flush), whichever
-comes first.  Batching amortizes executor round-trips: a shard receives one
-pickled list of scenarios per flush instead of one IPC hop per request.
+dispatch callback when it reaches ``max_batch_size`` (size flush) or on the
+next event-loop turn after its first item arrived (turn flush), whichever
+comes first.  No timer holds a request: items that arrive in the same loop
+turn — a burst read off many sockets, or pipelined lines of one — share a
+batch, and a lone request is dispatched on the very next turn.  Batching
+amortizes executor round-trips: a shard receives one pickled list of
+scenarios per flush instead of one IPC hop per request.
 
 The batcher is event-loop-only (no locks — ``add`` must be called from the
 loop thread) and never reorders: flush batches preserve arrival order, and
@@ -26,21 +29,18 @@ class MicroBatcher:
     next one.
     """
 
-    def __init__(self, flush_fn, max_batch_size: int = 32, max_wait_ms: float = 2.0):
+    def __init__(self, flush_fn, max_batch_size: int = 32):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self._flush_fn = flush_fn
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
         self._pending: list = []
-        self._timer: asyncio.TimerHandle | None = None
+        self._handle: asyncio.Handle | None = None
         self._tasks: set[asyncio.Task] = set()
         self.batches = 0
         self.items = 0
         self.size_flushes = 0
-        self.timeout_flushes = 0
+        self.turn_flushes = 0
         self.drain_flushes = 0
         self.max_batch_seen = 0
 
@@ -49,14 +49,13 @@ class MicroBatcher:
         self._pending.append(item)
         if len(self._pending) >= self.max_batch_size:
             self._flush("size")
-        elif self._timer is None:
-            loop = asyncio.get_running_loop()
-            self._timer = loop.call_later(self.max_wait_ms / 1000.0, self._flush, "timeout")
+        elif self._handle is None:
+            self._handle = asyncio.get_running_loop().call_soon(self._flush, "turn")
 
     def _flush(self, reason: str) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
         batch, self._pending = self._pending, []
         if not batch:
             return
@@ -65,8 +64,8 @@ class MicroBatcher:
         self.max_batch_seen = max(self.max_batch_seen, len(batch))
         if reason == "size":
             self.size_flushes += 1
-        elif reason == "timeout":
-            self.timeout_flushes += 1
+        elif reason == "turn":
+            self.turn_flushes += 1
         else:
             self.drain_flushes += 1
         task = asyncio.get_running_loop().create_task(self._flush_fn(batch))
@@ -83,11 +82,10 @@ class MicroBatcher:
     def stats(self) -> dict:
         return {
             "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
             "batches": self.batches,
             "items": self.items,
             "size_flushes": self.size_flushes,
-            "timeout_flushes": self.timeout_flushes,
+            "turn_flushes": self.turn_flushes,
             "drain_flushes": self.drain_flushes,
             "max_batch_seen": self.max_batch_seen,
             "pending": len(self._pending),

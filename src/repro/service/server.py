@@ -9,9 +9,10 @@ Request path (all on the event loop)::
 * **Cache hit** — answered immediately from the LRU record cache.
 * **Coalesced** — an identical request is already computing; this one awaits
   the same future, so N concurrent duplicates cost one decomposition.
-* **Miss** — joins the current micro-batch; the batch is split by instance
-  hash across the persistent shards and each sub-batch runs as one executor
-  call.
+* **Miss** — joins the micro-batch of its event-loop turn, which is
+  dispatched on the next turn (no timer holds it); the batch is split by
+  instance hash across the persistent shards and each sub-batch runs as one
+  executor call.
 
 Determinism: records are pure functions of their scenario, the cache stores
 exactly what the shards return, and responses carry no volatile fields — so
@@ -87,7 +88,6 @@ class DecompositionService:
         shards: int = 2,
         cache_size: int = 1024,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         cache_dir=None,
         npz_root=None,
         cache_max_bytes: int | None = None,
@@ -99,7 +99,10 @@ class DecompositionService:
         recovery_backoff_s: float = 0.05,
         slow_request_s: float | None = None,
     ):
+        # the cache and batcher validate their sizes before the pool exists,
+        # so a rejected size leaves nothing behind that would need closing
         self.cache = ColoringCache(maxsize=cache_size, max_bytes=cache_max_bytes)
+        self.batcher = MicroBatcher(self._run_batch, max_batch_size=max_batch_size)
         self.pool = ShardPool(shards=shards, cache_dir=cache_dir)
         #: crash-safe streaming: with a journal directory, every session's
         #: mutation log is persisted (append-only, fsync-batched) and a
@@ -153,9 +156,6 @@ class DecompositionService:
         #: directory npz refs are confined to; None disables them entirely —
         #: a remote peer must not get to open arbitrary server-side paths
         self.npz_root = pathlib.Path(npz_root).resolve() if npz_root is not None else None
-        self.batcher = MicroBatcher(
-            self._run_batch, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms
-        )
         self._inflight: dict[str, asyncio.Future] = {}
         self.requests = 0
         self.coalesced = 0

@@ -20,8 +20,10 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from time import perf_counter
 
-from ..obs import events
+from ..obs import events, registry, telemetry_enabled
 from ..runtime import InstanceCache, Scenario
 from ..runtime.engine import run_scenario, worker_init, worker_run_record
 
@@ -72,9 +74,23 @@ def shard_metrics() -> dict:
     worker's view with its own — the same shipping pattern as
     :func:`shard_solver_stats`.
     """
-    from ..obs import registry
-
     return registry().snapshot()
+
+
+@contextmanager
+def _timed_call(op: str):
+    """Time one shard call into ``shard_call_seconds{op=...}``.
+
+    The front-end's side of a shard round trip — executor queueing, pickling
+    both ways, the worker's compute and any respawn retry — so ``/metrics``
+    can set it against the worker's own spans without outside wrappers.
+    """
+    t0 = perf_counter()
+    try:
+        yield
+    finally:
+        if telemetry_enabled():
+            registry().histogram("shard_call_seconds", op=op).observe(perf_counter() - t0)
 
 
 def _aggregate_solver_stats(per_shard: list[dict]) -> dict:
@@ -186,15 +202,16 @@ class ShardPool:
         loop = asyncio.get_running_loop()
         executor = self._executors[shard]
         payload = {**payload, "session": f"{self._session_ns}:{payload['session']}"}
-        try:
-            return await loop.run_in_executor(executor, session_call, payload)
-        except BrokenProcessPool:
-            self._respawn(shard, executor)
-            return {
-                "ok": False,
-                "session_lost": True,
-                "error": "session lost: worker process died",
-            }
+        with _timed_call(payload["op"]):
+            try:
+                return await loop.run_in_executor(executor, session_call, payload)
+            except BrokenProcessPool:
+                self._respawn(shard, executor)
+                return {
+                    "ok": False,
+                    "session_lost": True,
+                    "error": "session lost: worker process died",
+                }
 
     async def submit_batch(self, shard: int, scenarios: list[Scenario]) -> list[dict]:
         """Run one batch on ``shard``; returns per-scenario ok/error dicts.
@@ -208,13 +225,14 @@ class ShardPool:
         self.requests += len(scenarios)
         loop = asyncio.get_running_loop()
         executor = self._executors[shard]
-        try:
-            return await loop.run_in_executor(executor, self._run, list(scenarios))
-        except BrokenProcessPool:
-            self._respawn(shard, executor)
-            return await loop.run_in_executor(
-                self._executors[shard], self._run, list(scenarios)
-            )
+        with _timed_call("batch"):
+            try:
+                return await loop.run_in_executor(executor, self._run, list(scenarios))
+            except BrokenProcessPool:
+                self._respawn(shard, executor)
+                return await loop.run_in_executor(
+                    self._executors[shard], self._run, list(scenarios)
+                )
 
     def _respawn(self, shard: int, broken) -> None:
         # concurrent batches can observe the same crash; only the first one

@@ -160,8 +160,7 @@ def stream_specs(steps: int, presets: tuple[str, ...] = ("stream", "growth")) ->
 
 async def _serve_churn(specs, steps, *, shards, journal_dir, recovery, connections):
     service = DecompositionService(
-        shards=shards, max_wait_ms=1.0,
-        journal_dir=journal_dir, recovery=recovery,
+        shards=shards, journal_dir=journal_dir, recovery=recovery,
     )
     ready = asyncio.Event()
     bound = {}
@@ -300,7 +299,7 @@ RING_DECOMPOSE_SPECS = [
 ]
 
 
-def spawn_serve_host(journal_dir, *, shards: int = 0, max_wait_ms: float = 1.0):
+def spawn_serve_host(journal_dir, *, shards: int = 0):
     """Spawn one real ``repro serve`` host subprocess on an ephemeral port.
 
     Returns ``(proc, endpoint)`` once the host prints its bound address.
@@ -314,8 +313,7 @@ def spawn_serve_host(journal_dir, *, shards: int = 0, max_wait_ms: float = 1.0):
         if env.get("PYTHONPATH") else src
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--shards", str(shards), "--max-wait-ms", str(max_wait_ms),
-         "--journal-dir", str(journal_dir)],
+         "--shards", str(shards), "--journal-dir", str(journal_dir)],
         stderr=subprocess.PIPE, text=True, env=env,
     )
     endpoint = None

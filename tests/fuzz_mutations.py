@@ -213,7 +213,7 @@ def check_service(seed: int, program, side: int) -> None:
 
     def run_once(shards: int) -> list[str]:
         async def run():
-            service = DecompositionService(shards=shards, max_wait_ms=1.0)
+            service = DecompositionService(shards=shards)
             ready = asyncio.Event()
             bound = {}
 

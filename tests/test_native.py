@@ -88,7 +88,7 @@ def test_stats_telemetry_tier_carries_the_gauge(fresh_loader, monkeypatch):
     B.load_bucket_loop()
 
     async def stats():
-        service = DecompositionService(shards=0, max_wait_ms=1.0)
+        service = DecompositionService(shards=0)
         try:
             return await service.stats_async()
         finally:

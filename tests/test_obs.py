@@ -465,6 +465,49 @@ class TestServiceTelemetry:
         stats = asyncio.run(run())
         assert "telemetry" not in stats
 
+    @staticmethod
+    def _shard_call_counts() -> dict:
+        """Drive one of every shard call through an inline service and
+        return the ``shard_call_seconds`` observation count per op."""
+        stream_spec = {"family": "grid", "size": 8, "k": 2,
+                       "params": {"trace": "random-churn", "steps": 2, "ops": 2}}
+
+        async def run():
+            service = DecompositionService(shards=0)
+            try:
+                scenario = Scenario(family="grid", size=8, k=2)
+                await service.submit(scenario)  # miss: one batch call
+                await service.submit(scenario)  # hit: no shard call
+                for op, extra in (("open_stream", {"scenario": stream_spec}),
+                                  ("mutate", {"steps": 1}), ("snapshot", {}),
+                                  ("close_stream", {})):
+                    await service.stream_request(op, {"op": op, "session": "a", **extra})
+                await service.stream_request("restore_stream", {
+                    "op": "restore_stream", "session": "b", "scenario": stream_spec,
+                    "ops": [{"steps": 1}]})
+                await service.stream_request("close_stream",
+                                             {"op": "close_stream", "session": "b"})
+            finally:
+                await service.close()
+
+        asyncio.run(run())
+        counts = {}
+        for key, hist in registry().snapshot()["histograms"].items():
+            name, labels = split_metric_key(key)
+            if name == "shard_call_seconds":
+                counts[labels["op"]] = hist["count"]
+        return counts
+
+    def test_shard_calls_timed_per_op(self):
+        assert self._shard_call_counts() == {
+            "batch": 1, "open": 1, "mutate": 1, "snapshot": 1, "close": 2, "restore": 1,
+        }
+
+    def test_shard_calls_untimed_when_disabled(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        reset_telemetry()
+        assert self._shard_call_counts() == {}
+
     def test_inline_pool_metrics_not_double_counted(self):
         async def run():
             service = DecompositionService(shards=0)

@@ -257,7 +257,7 @@ class TestInlineRecovery:
 
     def run_service(self, coro_fn, **service_kwargs):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0, **service_kwargs)
+            service = DecompositionService(shards=0, **service_kwargs)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -643,8 +643,7 @@ class TestInlineRecovery:
         from repro.service import run_churn
 
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0,
-                                           journal_dir=tmp_path / "journals")
+            service = DecompositionService(shards=0, journal_dir=tmp_path / "journals")
             task, host, port = await start_server(service)
             # a long-lived server may have recovered other clients' sessions
             service.sessions_recovered = 5
@@ -828,8 +827,7 @@ class TestProcessCrashRecovery:
 
         async def scenario():
             journal_dir = tmp_path / "journals"
-            service = DecompositionService(shards=2, max_wait_ms=1.0,
-                                           journal_dir=journal_dir)
+            service = DecompositionService(shards=2, journal_dir=journal_dir)
 
             def append_hook(sid, entry):
                 if not killed and entry.get("version") == 2:
@@ -864,8 +862,7 @@ class TestTornTailHandoff:
     def test_truncated_final_record_restores_longest_prefix(self, tmp_path):
         async def run():
             journal_dir = tmp_path / "dead-host"
-            service = DecompositionService(shards=0, max_wait_ms=1.0,
-                                           journal_dir=journal_dir)
+            service = DecompositionService(shards=0, journal_dir=journal_dir)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             assert (await client.open_stream("torn", STREAM_SPEC))["ok"]
@@ -886,8 +883,7 @@ class TestTornTailHandoff:
             assert len(ops) == 2  # the torn third mutate never happened
             # hand the prefix to a fresh host, exactly as the ring router
             # would after reading the dead owner's journal
-            takeover = DecompositionService(shards=0, max_wait_ms=1.0,
-                                            journal_dir=tmp_path / "new-host")
+            takeover = DecompositionService(shards=0, journal_dir=tmp_path / "new-host")
             task2, host2, port2 = await start_server(takeover)
             client2 = await ServiceClient.connect(host2, port2)
             try:

@@ -157,7 +157,7 @@ class RingHarness:
         for i in range(n):
             journal_dir = tmp_path / f"host{i}-journals" if journaled else None
             service = DecompositionService(
-                shards=0, max_wait_ms=1.0, journal_dir=journal_dir
+                shards=0, journal_dir=journal_dir
             )
             task, endpoint = await start_host(service)
             hosts.append((task, endpoint))
@@ -199,7 +199,7 @@ class RingHarness:
 
 async def baseline_session(spec, mutates: int):
     """Uninterrupted single-host run: per-mutate results + final snapshot."""
-    service = DecompositionService(shards=0, max_wait_ms=1.0)
+    service = DecompositionService(shards=0)
     task, endpoint = await start_host(service)
     host, _, port = endpoint.rpartition(":")
     client = await ServiceClient.connect(host, int(port))
@@ -752,7 +752,7 @@ class TestRestoreTakeover:
 
     def test_restore_refuses_live_session_without_takeover(self, tmp_path):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, endpoint = await start_host(service)
             host, _, port = endpoint.rpartition(":")
             client = await ServiceClient.connect(host, int(port))

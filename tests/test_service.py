@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graphs import grid_graph
 from repro.graphs.io import save_npz
 from repro.runtime import Scenario, run_sweep
@@ -138,45 +138,71 @@ class TestColoringCache:
 
 
 class TestMicroBatcher:
+    @staticmethod
+    def _collector():
+        batches = []
+
+        async def flush(batch):
+            batches.append(batch)
+
+        return batches, flush
+
     def test_size_flush(self):
         async def run():
-            batches = []
-
-            async def flush(batch):
-                batches.append(batch)
-
-            b = MicroBatcher(flush, max_batch_size=3, max_wait_ms=1000.0)
+            batches, flush = self._collector()
+            b = MicroBatcher(flush, max_batch_size=3)
             for i in range(7):
                 b.add(i)
             await b.drain()
             return batches, b.stats()
 
         batches, stats = asyncio.run(run())
-        # two size flushes of 3, then drain flushes the remainder; order kept
+        # a same-turn burst: two size flushes of 3, then drain flushes the
+        # remainder before the turn flush could; order kept
         assert batches == [[0, 1, 2], [3, 4, 5], [6]]
         assert stats["size_flushes"] == 2 and stats["batches"] == 3
+        assert stats["drain_flushes"] == 1 and stats["turn_flushes"] == 0
 
-    def test_timeout_flush(self):
+    def test_lone_add_flushes_on_next_turn(self):
         async def run():
-            batches = []
-
-            async def flush(batch):
-                batches.append(batch)
-
-            b = MicroBatcher(flush, max_batch_size=100, max_wait_ms=10.0)
+            batches, flush = self._collector()
+            b = MicroBatcher(flush)
             b.add("x")
-            await asyncio.sleep(0.15)
+            # no timer: one turn runs the flush, the next its dispatch task
+            for _ in range(3):
+                await asyncio.sleep(0)
             return batches, b.stats()
 
         batches, stats = asyncio.run(run())
         assert batches == [["x"]]
-        assert stats["timeout_flushes"] == 1
+        assert stats["turn_flushes"] == 1 and stats["pending"] == 0
+
+    def test_loop_turns_delimit_batches(self):
+        async def run():
+            batches, flush = self._collector()
+            b = MicroBatcher(flush)
+
+            async def arrive(item):
+                b.add(item)
+
+            # tasks started together run in one loop turn, like requests
+            # read off several sockets at once: they share one batch
+            await asyncio.gather(*(arrive(i) for i in range(4)))
+            b.add(4)  # a later turn starts the next batch
+            await asyncio.sleep(0)
+            b.add(5)
+            b.add(6)
+            for _ in range(3):
+                await asyncio.sleep(0)
+            return batches, b.stats()
+
+        batches, stats = asyncio.run(run())
+        assert batches == [[0, 1, 2, 3], [4], [5, 6]]
+        assert stats["turn_flushes"] == 3 and stats["items"] == 7
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             MicroBatcher(None, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(None, max_wait_ms=-1.0)
 
 
 class TestShardPool:
@@ -227,7 +253,6 @@ class TestShardPool:
 class TestDecompositionService:
     def _service(self, **kw):
         kw.setdefault("shards", 0)
-        kw.setdefault("max_wait_ms", 1.0)
         return DecompositionService(**kw)
 
     def test_submit_matches_sweep_and_caches(self):
@@ -249,7 +274,7 @@ class TestDecompositionService:
 
     def test_concurrent_duplicates_coalesce(self):
         async def run():
-            service = self._service(max_batch_size=100, max_wait_ms=20.0)
+            service = self._service()
             try:
                 scenario = scenario_from_spec(SPECS[0])
                 records = await asyncio.gather(*(service.submit(scenario) for _ in range(8)))
@@ -264,7 +289,7 @@ class TestDecompositionService:
 
     def test_cancelled_waiter_does_not_kill_coalesced_sibling(self):
         async def run():
-            service = self._service(max_batch_size=100, max_wait_ms=30.0)
+            service = self._service()
             try:
                 scenario = scenario_from_spec(SPECS[0])
                 first = asyncio.ensure_future(service.submit(scenario))
@@ -279,6 +304,24 @@ class TestDecompositionService:
         record, first_cancelled = asyncio.run(run())
         assert first_cancelled
         assert canonical_record(record) == sweep_bodies(SPECS[:1])[record["scenario_id"]]
+
+    def test_concurrent_misses_share_one_batch(self):
+        specs = [{"family": family, "size": size, "k": k}
+                 for family in ("grid", "mesh") for size in (6, 8) for k in (2, 4)]
+
+        async def run():
+            service = self._service()
+            try:
+                records = await asyncio.gather(
+                    *(service.submit(scenario_from_spec(s)) for s in specs))
+                return records, service.stats()
+            finally:
+                await service.close()
+
+        records, stats = asyncio.run(run())
+        assert stats["batcher"]["batches"] == 1 and stats["batcher"]["items"] == 8
+        assert stats["shards"]["batches"] == 1
+        assert {r["scenario_id"]: canonical_record(r) for r in records} == sweep_bodies(specs)
 
     def test_shard_error_propagates_as_service_error(self):
         async def run():
@@ -312,7 +355,7 @@ class TestDecompositionService:
 class TestServer:
     def test_end_to_end_records_and_control_ops(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -337,7 +380,7 @@ class TestServer:
 
     def test_malformed_line_answered_not_fatal(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 reader, writer = await asyncio.open_connection(host, port)
@@ -358,7 +401,7 @@ class TestServer:
 
     def test_pipelined_requests_matched_by_id(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 reader, writer = await asyncio.open_connection(host, port)
@@ -379,7 +422,7 @@ class TestServer:
 
     def test_process_shards_byte_identical_to_inline(self):
         async def run(shards):
-            service = DecompositionService(shards=shards, max_wait_ms=1.0)
+            service = DecompositionService(shards=shards)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -397,7 +440,7 @@ class TestServer:
         # connection must not be able to hang shutdown (the server cancels
         # stragglers after a grace period instead)
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             idle = await ServiceClient.connect(host, port)  # never speaks
             try:
@@ -412,7 +455,7 @@ class TestServer:
         # idle keep-alives owe no response: stop must not spend the drain
         # grace on them
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             idle = [await ServiceClient.connect(host, port) for _ in range(3)]
             try:
@@ -505,7 +548,7 @@ class TestServer:
                 "params": {"path": str(tmp_path / "g.npz")}}
 
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0, npz_root=tmp_path)
+            service = DecompositionService(shards=0, npz_root=tmp_path)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -521,7 +564,7 @@ class TestServer:
 
     def test_npz_refs_confined_to_root(self, tmp_path):
         async def run(npz_root, path):
-            service = DecompositionService(shards=0, max_wait_ms=1.0, npz_root=npz_root)
+            service = DecompositionService(shards=0, npz_root=npz_root)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -560,7 +603,7 @@ class TestServer:
 
     def test_oversized_line_drops_connection_not_server(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 reader, writer = await asyncio.open_connection(host, port)
@@ -613,7 +656,7 @@ class TestLatencySummary:
 class TestLoadgen:
     def test_report_and_deterministic_bodies(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 out = await run_loadgen(host, port, SPECS, connections=3, passes=2)
@@ -633,7 +676,7 @@ class TestLoadgen:
 
     def test_loadgen_surfaces_request_errors(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 bad = [{"family": "grid", "size": 8, "k": 2, "algorithm": "nope"}]
@@ -669,7 +712,7 @@ class TestServiceCli:
                 from repro.service import DecompositionService
                 from repro.service import serve as serve_coro
 
-                service = DecompositionService(shards=0, max_wait_ms=1.0)
+                service = DecompositionService(shards=0)
 
                 def _ready(host, port):
                     port_box["port"] = port
@@ -704,6 +747,30 @@ class TestServiceCli:
         assert json.loads(bodies.read_text()) == sweep_bodies(
             [{"family": "grid", "size": 8, "k": 2}, {"family": "grid", "size": 8, "k": 4}]
         )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-batch-size", "0"), ("--shards", "-1"), ("--cache-size", "-1"),
+    ])
+    def test_serve_reports_bad_sizes_in_one_line(self, monkeypatch, flag, value):
+        import repro.service.server as server_mod
+
+        built = []
+
+        def recording_pool(**kw):
+            built.append(ShardPool(**kw))
+            return built[-1]
+
+        monkeypatch.setattr(server_mod, "ShardPool", recording_pool)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", flag, value])
+        # a one-line operator error (no traceback), and validation failed
+        # before anything that would need closing was built
+        assert isinstance(exc.value.code, str) and exc.value.code.startswith("serve: ")
+        assert built == []
+
+    def test_serve_has_no_batch_timer_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-wait-ms", "2"])
 
     def test_loadgen_requires_axes(self):
         with pytest.raises(SystemExit, match="loadgen needs"):
@@ -842,7 +909,7 @@ class TestClientResilience:
 
     def test_loadgen_report_carries_transport_block(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 return await run_loadgen(host, port, SPECS[:2],

@@ -88,7 +88,7 @@ class TestStreamProtocol:
 class TestStreamSessions:
     def run_lifecycle(self, shards):
         async def run():
-            service = DecompositionService(shards=shards, max_wait_ms=1.0)
+            service = DecompositionService(shards=shards)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -127,7 +127,7 @@ class TestStreamSessions:
 
     def test_session_errors(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0, max_sessions=1)
+            service = DecompositionService(shards=0, max_sessions=1)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -153,7 +153,7 @@ class TestStreamSessions:
 
     def test_explicit_mutations_over_wire(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -183,7 +183,7 @@ class TestRunChurn:
 
         def run_once(shards):
             async def run():
-                service = DecompositionService(shards=shards, max_wait_ms=1.0)
+                service = DecompositionService(shards=shards)
                 task, host, port = await start_server(service)
                 try:
                     return await run_churn(
@@ -205,7 +205,7 @@ class TestRunChurn:
 class TestIdleTimeout:
     def test_idle_connection_reaped_and_heartbeat_keeps_alive(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service, idle_timeout=0.25)
             client = await ServiceClient.connect(host, port)
             # heartbeats inside the window keep the connection alive
@@ -229,7 +229,7 @@ class TestIdleTimeout:
 
     def test_in_flight_response_not_dropped_by_reaper(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             original = service.submit
 
             async def slow_submit(scenario):
@@ -319,7 +319,7 @@ class TestZipfMix:
         ]
 
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             try:
                 return await run_loadgen(
@@ -356,7 +356,7 @@ class TestStreamCli:
             def patched(args):
                 import asyncio as aio
 
-                service = DecompositionService(shards=0, max_wait_ms=1.0)
+                service = DecompositionService(shards=0)
 
                 def _ready(host, port):
                     port_box["port"] = port
@@ -431,7 +431,7 @@ class TestSessionRobustness:
         drop its entry (counting it lost) so the id can be reopened."""
 
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
@@ -456,7 +456,7 @@ class TestSessionRobustness:
     def test_idle_sessions_expire_when_limit_hit(self):
         async def run():
             service = DecompositionService(
-                shards=0, max_wait_ms=1.0, max_sessions=1, session_ttl=0.2
+                shards=0, max_sessions=1, session_ttl=0.2
             )
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
@@ -491,7 +491,7 @@ class TestSessionRobustness:
 
     def test_multi_step_mutate_is_atomic(self):
         async def run():
-            service = DecompositionService(shards=0, max_wait_ms=1.0)
+            service = DecompositionService(shards=0)
             task, host, port = await start_server(service)
             client = await ServiceClient.connect(host, port)
             try:
