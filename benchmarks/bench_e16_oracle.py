@@ -1,25 +1,29 @@
-"""E16 — spectral oracle cache + warm-started Fiedler solves.
+"""E16 — spectral oracle solve cache, off vs on.
 
-PR 6 put every eigensolve in the pipeline behind a unified oracle API: a
-:class:`~repro.separators.SolveContext` threads the parent level's
-interpolated Fiedler vector into each shrink/hierarchy subgraph solve (warm
-starts), and a process-local :class:`~repro.separators.SolveCache` memoizes
-solves by graph structural hash plus the exact hint bytes (so repeated
-pipeline cells replay whole recursions from cache, bitwise).  This benchmark
-is the perf artifact for that work:
+Every eigensolve in the pipeline goes through
+:func:`~repro.separators.fiedler_vector`, which starts from one fixed vector
+and memoizes its result in a process-local
+:class:`~repro.separators.SolveCache` keyed by the graph's structural hash
+alone (so repeated pipeline cells replay whole recursions from cache,
+bitwise, and two recursion paths that reach one subgraph share its entry).
+This benchmark is the perf artifact for that cache:
 
 * **Theorem-4 pipeline oracle time** — ``min_max_partition`` with the
   spectral oracle across a ``k`` × weights × refine-ablation mix on one
   grid (the shape of a real sweep: ablation axes rerun the same instance
   cell, re-deriving identical oracle calls), timing only the oracle
-  ``split`` calls.  Headline claim: warm starts plus the solve cache cut
-  total oracle time at least **2×** against hint-free cold solves, with
-  **byte-identical** labels (the hint is part of the cache key, so hits
-  are exact by construction — the API's core invariant).
+  ``split`` calls, solve cache off vs on.  Headline claim: the cache cuts
+  total oracle time at least **2×**, with **byte-identical** labels (a
+  vector depends on its graph alone, so hits are exact by construction —
+  the API's core invariant).
 * **Service-tier zipf replay** — the shard-worker request path
   (``run_scenario`` with a per-process instance cache) replaying a zipf(1.1)
-  scenario mix, oracle cache on vs off.  Claim: at least **1.5×** the
+  scenario mix, oracle cache off vs on.  Claim: at least **1.5×** the
   cache-off throughput, byte-identical records.
+
+Both rows flip the cache the way ``repro serve --no-oracle-cache`` does:
+through ``REPRO_ORACLE_CACHE``, with :func:`~repro.separators.reset_solver_state`
+giving every repeat a fresh cache.
 
 Results land in ``benchmarks/out/e16.{txt,json}`` and — as the
 machine-readable artifact CI gates — in ``BENCH_e16.json`` at the repo
@@ -34,6 +38,7 @@ import json
 import os
 import pathlib
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,13 +46,7 @@ from repro.analysis import Table
 from repro.core import DecompositionParams, min_max_partition
 from repro.graphs import grid_graph
 from repro.runtime import InstanceCache, Scenario, run_scenario
-from repro.separators import (
-    SolveCache,
-    SolveContext,
-    make_oracle,
-    oracle_split,
-    reset_solver_state,
-)
+from repro.separators import make_oracle, oracle_split, reset_solver_state
 
 SMOKE = bool(int(os.environ.get("REPRO_E16_SMOKE", "0") or "0"))
 
@@ -64,24 +63,30 @@ SERVICE_REQUESTS = 24 if SMOKE else 60
 SERVICE_ZIPF_S = 1.1
 SERVICE_SIZES = (16,) if SMOKE else (16, 20)
 
-#: headline floor: warm+cached vs cold oracle seconds at the largest size
+#: headline floor: cache-off vs cache-on oracle seconds at the largest size
 MIN_SPEEDUP = 2.0
 MIN_SERVICE_SPEEDUP = 1.5
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-class ColdContext(SolveContext):
-    """Ablation context: no warm hints ever (for_subgraph keeps the type)."""
-
-    def hint_for(self, g):
-        return None
+@contextmanager
+def _oracle_cache(on):
+    """``REPRO_ORACLE_CACHE`` on or off inside the block, restored after."""
+    prior = os.environ.get("REPRO_ORACLE_CACHE")
+    os.environ["REPRO_ORACLE_CACHE"] = "1" if on else "0"
+    try:
+        yield
+    finally:
+        if prior is None:
+            os.environ.pop("REPRO_ORACLE_CACHE", None)
+        else:
+            os.environ["REPRO_ORACLE_CACHE"] = prior
+        reset_solver_state()
 
 
 class TimedOracle:
     """Wraps an oracle, accumulating wall-clock spent inside ``split``."""
-
-    accepts_ctx = True
 
     def __init__(self, base):
         self.base = base
@@ -91,10 +96,10 @@ class TimedOracle:
     def name(self):
         return self.base.name
 
-    def split(self, g, weights, target, ctx=None):
+    def split(self, g, weights, target):
         t0 = time.perf_counter()
         try:
-            return oracle_split(self.base, g, weights, target, ctx)
+            return oracle_split(self.base, g, weights, target)
         finally:
             self.seconds += time.perf_counter() - t0
 
@@ -114,33 +119,28 @@ def _pipeline_mix(side):
     return g, mixes
 
 
-def _run_pipeline(side, *, warm):
+def _run_pipeline(side, *, cache_on):
     """Best-of-REPEATS total oracle seconds over the scenario mix.
 
-    ``warm=False`` gives each call a hint-free context with no cache (every
-    solve from scratch — the pre-PR behavior); ``warm=True`` gives fresh
-    contexts sharing one :class:`SolveCache`, the way sweep workers and
+    Cache off solves every subgraph from scratch; cache on gives each repeat
+    one fresh process cache shared across the mix, the way sweep workers and
     service shards run.
     """
     g, mixes = _pipeline_mix(side)
     best = float("inf")
     out = None
-    for _ in range(REPEATS):
-        oracle = TimedOracle(make_oracle("spectral"))
-        cache = SolveCache() if warm else None
-        labels = []
-        for k, w, params in mixes:
-            if warm:
-                ctx = SolveContext.for_graph(g, cache=cache)
-            else:
-                ctx = ColdContext.for_graph(g, cache=None)
-            res = min_max_partition(g, k, weights=w, oracle=oracle,
-                                    params=params, ctx=ctx)
-            labels.append(res.labels.tobytes())
-        if out is not None:
-            assert labels == out, "pipeline must be deterministic across repeats"
-        best = min(best, oracle.seconds)
-        out = labels
+    with _oracle_cache(cache_on):
+        for _ in range(REPEATS):
+            reset_solver_state()
+            oracle = TimedOracle(make_oracle("spectral"))
+            labels = [
+                min_max_partition(g, k, weights=w, oracle=oracle, params=params).labels.tobytes()
+                for k, w, params in mixes
+            ]
+            if out is not None:
+                assert labels == out, "pipeline must be deterministic across repeats"
+            best = min(best, oracle.seconds)
+            out = labels
     return best, out
 
 
@@ -176,11 +176,9 @@ def _run_service_replay(*, cache_on):
     """
     scenarios = _service_scenarios()
     requests = _zipf_request_stream(scenarios)
-    prior = os.environ.get("REPRO_ORACLE_CACHE")
-    os.environ["REPRO_ORACLE_CACHE"] = "1" if cache_on else "0"
-    try:
-        best = float("inf")
-        out = None
+    best = float("inf")
+    out = None
+    with _oracle_cache(cache_on):
         for _ in range(REPEATS):
             reset_solver_state()
             inst_cache = InstanceCache()
@@ -192,30 +190,23 @@ def _run_service_replay(*, cache_on):
             if out is not None:
                 assert records == out, "replay must be deterministic across repeats"
             out = records
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_ORACLE_CACHE", None)
-        else:
-            os.environ["REPRO_ORACLE_CACHE"] = prior
-        reset_solver_state()
     return best, out
 
 
 def test_e16_oracle_cache_ablation(save_table, save_json):
     table = Table(
-        "E16 spectral oracle cache — warm+cached vs cold solves"
+        "E16 spectral oracle cache — off vs on"
         + (" (smoke)" if SMOKE else ""),
         ["workload", "n", "old s", "new s", "speedup", "identical"],
         note="pipeline rows time only oracle split calls across a k x "
-        "weights mix on one grid (old = hint-free cold solves, new = "
-        "SolveContext warm starts + shared SolveCache); service rows time "
-        "the shard-worker request path over a zipf(1.1) stream, oracle "
-        "cache off vs on; identical = byte-identical labels/records",
+        "weights mix on one grid; service rows time the shard-worker "
+        "request path over a zipf(1.1) stream; old = oracle cache off, "
+        "new = on; identical = byte-identical labels/records",
     )
     cases = {}
     for side in PIPELINE_SIZES:
-        t_old, labels_old = _run_pipeline(side, warm=False)
-        t_new, labels_new = _run_pipeline(side, warm=True)
+        t_old, labels_old = _run_pipeline(side, cache_on=False)
+        t_new, labels_new = _run_pipeline(side, cache_on=True)
         identical = labels_old == labels_new
         speedup = t_old / max(t_new, 1e-9)
         cases[f"pipeline/grid{side}"] = {

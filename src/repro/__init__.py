@@ -36,7 +36,6 @@ from .separators import (
     BestOfOracle,
     BfsOracle,
     GridOracle,
-    SolveContext,
     SpectralOracle,
     grid_split,
     make_oracle,
@@ -60,7 +59,6 @@ __all__ = [
     "SpectralOracle",
     "GridOracle",
     "REGISTRY",
-    "SolveContext",
     "make_oracle",
     "grid_split",
     "__version__",

@@ -23,7 +23,7 @@ import numpy as np
 from .._util import as_float_array
 from ..core.coloring import Coloring
 from ..graphs.graph import Graph
-from ..separators.solve import split_on
+from ..separators.solve import oracle_split
 
 __all__ = ["kst_partition"]
 
@@ -34,7 +34,6 @@ def kst_partition(
     weights=None,
     oracle=None,
     eps: float = 0.0,
-    ctx=None,
 ) -> Coloring:
     """Recursive bisection balancing (weight, boundary-proxy) pairs.
 
@@ -48,15 +47,11 @@ def kst_partition(
         from ..separators.oracles import make_oracle
 
         oracle = make_oracle("default", g=g)
-    if ctx is None:
-        from ..separators.solve import SolveContext
-
-        ctx = SolveContext.for_graph(g)
     w = as_float_array(weights if weights is not None else 1.0, g.n, name="weights")
     tau = g.cost_degree()
     labels = np.full(g.n, -1, dtype=np.int64)
     # explicit worklist, left piece first: the recursion's split order
-    # without a self-referencing closure keeping g and ctx alive
+    # without a self-referencing closure keeping g alive
     work = [(np.arange(g.n, dtype=np.int64), range(k))]
     while work:
         members, colors = work.pop()
@@ -79,7 +74,7 @@ def kst_partition(
         best_u = None
         best_cost = np.inf
         for s in {lo, share, hi}:
-            u_local = split_on(oracle, sub, combined, s * float(combined.sum()), ctx)
+            u_local = oracle_split(oracle, sub.graph, combined, s * float(combined.sum()))
             cost = sub.graph.boundary_cost(u_local)
             got = float(local_w[np.asarray(u_local, dtype=np.int64)].sum())
             # keep within the relaxed weight share
@@ -88,7 +83,7 @@ def kst_partition(
             if cost < best_cost:
                 best_u, best_cost = u_local, cost
         if best_u is None:
-            best_u = split_on(oracle, sub, local_w, share * wt, ctx)
+            best_u = oracle_split(oracle, sub.graph, local_w, share * wt)
         u_mask = np.zeros(members.size, dtype=bool)
         u_mask[np.asarray(best_u, dtype=np.int64)] = True
         work.append((members[~u_mask], range(colors.start + k_left, colors.stop)))

@@ -16,12 +16,12 @@ import numpy as np
 from .._util import as_float_array
 from ..core.coloring import Coloring
 from ..graphs.graph import Graph
-from ..separators.solve import split_on
+from ..separators.solve import oracle_split
 
 __all__ = ["recursive_bisection"]
 
 
-def recursive_bisection(g: Graph, k: int, weights=None, oracle=None, ctx=None) -> Coloring:
+def recursive_bisection(g: Graph, k: int, weights=None, oracle=None) -> Coloring:
     """Partition into ``k`` classes by recursive weight-proportional splits.
 
     Each split hands ``⌊k'/2⌋`` of the piece's ``k'`` colors to one side with
@@ -33,16 +33,10 @@ def recursive_bisection(g: Graph, k: int, weights=None, oracle=None, ctx=None) -
         from ..separators.oracles import make_oracle
 
         oracle = make_oracle("default", g=g)
-    if ctx is None:
-        from ..separators.solve import SolveContext
-
-        ctx = SolveContext.for_graph(g)
     w = as_float_array(weights if weights is not None else 1.0, g.n, name="weights")
     labels = np.full(g.n, -1, dtype=np.int64)
     # an explicit worklist instead of a self-referencing closure (which
-    # would keep g, the oracle and ctx alive until a full GC); popping the
-    # left piece first keeps the recursion's split order, which the
-    # oracle's warm starts depend on
+    # would keep g and the oracle alive until a full GC), left piece first
     work = [(np.arange(g.n, dtype=np.int64), range(k))]
     while work:
         members, colors = work.pop()
@@ -54,7 +48,7 @@ def recursive_bisection(g: Graph, k: int, weights=None, oracle=None, ctx=None) -
         sub = g.subgraph(members)
         local_w = w[members]
         target = float(local_w.sum()) * (k_left / kk)
-        u_local = split_on(oracle, sub, local_w, target, ctx)
+        u_local = oracle_split(oracle, sub.graph, local_w, target)
         u_mask = np.zeros(members.size, dtype=bool)
         u_mask[np.asarray(u_local, dtype=np.int64)] = True
         work.append((members[~u_mask], range(colors.start + k_left, colors.stop)))

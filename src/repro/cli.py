@@ -376,6 +376,27 @@ def _grid_from_args(args, command: str):
         raise SystemExit(f"{command}: {exc}") from exc
 
 
+def _oracle_cache_env(command: str, disable: bool, size: int | None = None) -> None:
+    """Set the solve-cache environment, then check it, before workers spawn.
+
+    Workers inherit the environment and build their cache on first use, so
+    a bad size must fail here as one ``command: ...`` line rather than in
+    every request or cell.
+    """
+    if disable:
+        os.environ["REPRO_ORACLE_CACHE"] = "0"
+    if size is not None:
+        if size < 0:
+            raise SystemExit(f"{command}: --oracle-cache-size must be >= 0, got {size}")
+        os.environ["REPRO_ORACLE_CACHE_SIZE"] = str(size)
+    from .separators import process_cache
+
+    try:
+        process_cache()
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}") from exc
+
+
 def _run_sweep(args) -> int:
     from .runtime import (
         compare_to_baseline,
@@ -386,9 +407,7 @@ def _run_sweep(args) -> int:
     )
 
     grid, scenarios = _grid_from_args(args, "sweep")
-    if args.no_oracle_cache:
-        # before workers spawn: they inherit the environment
-        os.environ["REPRO_ORACLE_CACHE"] = "0"
+    _oracle_cache_env("sweep", args.no_oracle_cache)
     total = len(scenarios)
     print(f"sweep: {total} scenarios, {args.workers} worker(s)", file=sys.stderr)
 
@@ -411,7 +430,6 @@ def _run_sweep(args) -> int:
         stats = solver_stats()
         cache = stats["cache"] or {}
         print(f"sweep: oracle solves={stats['counters']['solves']} "
-              f"warm_starts={stats['counters']['warm_starts']} "
               f"cache_hits={cache.get('hits', 0)} "
               f"cache_misses={cache.get('misses', 0)}", file=sys.stderr)
     if args.output:
@@ -505,11 +523,7 @@ def _run_serve(args) -> int:
     from .service import DecompositionService, serve
     from .stream import JournalError
 
-    # before the shard workers spawn: they inherit the environment
-    if args.no_oracle_cache:
-        os.environ["REPRO_ORACLE_CACHE"] = "0"
-    if args.oracle_cache_size is not None:
-        os.environ["REPRO_ORACLE_CACHE_SIZE"] = str(args.oracle_cache_size)
+    _oracle_cache_env("serve", args.no_oracle_cache, args.oracle_cache_size)
     if args.log_json:
         from .obs import events
 
@@ -550,7 +564,6 @@ def _run_serve(args) -> int:
         cache = oc.get("cache") or {}
         print(f"serve: oracle cache {'on' if oc.get('enabled') else 'off'} — "
               f"solves={counters.get('solves', 0)} "
-              f"warm_starts={counters.get('warm_starts', 0)} "
               f"hits={cache.get('hits', 0)} misses={cache.get('misses', 0)} "
               f"evictions={cache.get('evictions', 0)}",
               file=sys.stderr, flush=True)

@@ -21,7 +21,7 @@ import heapq
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..separators.solve import split_on
+from ..separators.solve import oracle_split
 from .coloring import Coloring
 
 __all__ = ["extract_chunk", "binpack_merge", "binpack_strict"]
@@ -34,7 +34,6 @@ def extract_chunk(
     lo: float,
     hi: float,
     oracle,
-    ctx=None,
 ) -> np.ndarray:
     """Claim 4 (A.2): a chunk ``X ⊆ members`` with ``w(X) ∈ [lo, hi]``.
 
@@ -61,7 +60,7 @@ def extract_chunk(
             return members[[int(candidates[0])]]
         return members[[int(heavy[0])]]
     sub = g.subgraph(members)
-    u_local = split_on(oracle, sub, local, (lo + hi) / 2.0, ctx)
+    u_local = oracle_split(oracle, sub.graph, local, (lo + hi) / 2.0)
     u = members[np.asarray(u_local, dtype=np.int64)]
     if u.size == 0 or u.size == members.size:
         # defensive: greedy fill by descending weight
@@ -78,7 +77,6 @@ def binpack_merge(
     w1_class: np.ndarray,
     weights: np.ndarray,
     oracle,
-    ctx=None,
 ) -> Coloring:
     """``BinPack1`` (Lemma 15): rearrange ``χ₀`` so that adding class weights
     ``w1_class`` (from ``χ̂₁``) yields an almost strictly balanced sum.
@@ -108,7 +106,7 @@ def binpack_merge(
         if over.size == 0:
             break
         i = int(over[np.argmax(cw[over] + w1[over])])
-        x = extract_chunk(g, classes[i], w, wmax, 2.0 * wmax, oracle, ctx=ctx)
+        x = extract_chunk(g, classes[i], w, wmax, 2.0 * wmax, oracle)
         if x.size == 0:
             break
         mask = np.zeros(g.n, dtype=bool)
@@ -149,7 +147,6 @@ def binpack_strict(
     coloring: Coloring,
     weights: np.ndarray,
     oracle,
-    ctx=None,
 ) -> Coloring:
     """``BinPack2`` (Proposition 12): enforce Definition 1 strict balance.
 
@@ -179,7 +176,7 @@ def binpack_strict(
         if over.size == 0:
             break
         i = int(over[np.argmax(cw[over])])
-        x = extract_chunk(g, classes[i], w, wmax / 2.0, wmax, oracle, ctx=ctx)
+        x = extract_chunk(g, classes[i], w, wmax / 2.0, wmax, oracle)
         if x.size == 0:
             break
         mask = np.zeros(g.n, dtype=bool)

@@ -33,7 +33,6 @@ def boundary_balanced_coloring(
     oracle,
     params: DecompositionParams | None = None,
     use_dynamic_measure: bool = True,
-    ctx=None,
 ) -> tuple[Coloring, dict]:
     """Proposition 7: a coloring balanced w.r.t. ``measures`` (and π) whose
     *maximum* boundary cost is ``O_r(σ_p(q·k^(−1/p)‖c‖_p + Δ_c))``.
@@ -49,9 +48,9 @@ def boundary_balanced_coloring(
     if params.seed_with_bisection and k >= 2 and g.n > k:
         from ..baselines.recursive_bisection import recursive_bisection
 
-        initial = recursive_bisection(g, k, base_measures[0], oracle=oracle, ctx=ctx)
+        initial = recursive_bisection(g, k, base_measures[0], oracle=oracle)
     chi, stage1_stats = multi_balanced_coloring(
-        g, k, base_measures, oracle, params, initial=initial, ctx=ctx
+        g, k, base_measures, oracle, params, initial=initial
     )
     psi = g.bichromatic_vertex_cost(chi.labels)
     diagnostics: dict = {
@@ -75,7 +74,6 @@ def boundary_balanced_coloring(
         oracle=oracle,
         params=params,
         mono_edge=mono_edge,
-        ctx=ctx,
     )
     diagnostics["rebalance_stats"] = stats
     diagnostics["max_boundary_after_prop7"] = chi_hat.max_boundary(g)

@@ -77,7 +77,6 @@ def min_max_partition(
     oracle=None,
     measures: list[np.ndarray] | None = None,
     params: DecompositionParams | None = None,
-    ctx=None,
 ) -> DecompositionResult:
     """Partition ``g`` into ``k`` strictly weight-balanced classes with small
     maximum boundary cost (Theorem 4).
@@ -98,11 +97,11 @@ def min_max_partition(
         Theorem 4 variant sketched in the conclusion).
     params:
         Pipeline constants; see :class:`DecompositionParams`.
-    ctx:
-        Optional :class:`~repro.separators.solve.SolveContext`; created
-        fresh (bound to ``g``, sharing the process solve cache) when
-        omitted, and threaded through every oracle split so spectral
-        solves are cached and warm-started across the pipeline's stages.
+
+    Every oracle split goes through
+    :func:`~repro.separators.solve.oracle_split`; spectral solves are
+    memoized in the process-local solve cache, so subgraphs that several
+    stages reach are solved once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -112,31 +111,25 @@ def min_max_partition(
         from ..separators.oracles import make_oracle
 
         oracle = make_oracle("default", g=g)
-    if ctx is None:
-        from ..separators.solve import SolveContext
-
-        ctx = SolveContext.for_graph(g)
     extra = [np.asarray(m, dtype=np.float64) for m in (measures or [])]
 
     stage_max: dict = {}
     # Stage 1: Proposition 7 — boundary-balanced multi-balanced coloring.
     with span("pipeline.prop7"):
-        chi, diagnostics = boundary_balanced_coloring(
-            g, k, [w] + extra, oracle, params, ctx=ctx
-        )
+        chi, diagnostics = boundary_balanced_coloring(g, k, [w] + extra, oracle, params)
     stage_max["prop7"] = chi.max_boundary(g)
 
     # Stage 2: Proposition 11 — almost strict balance at no (asymptotic) cost.
     pi = splitting_cost_measure(g, params.p, params.sigma_p)
     if params.improve_balance and not chi.is_almost_strictly_balanced(w):
         with span("pipeline.prop11"):
-            chi = improve_balance(g, chi, w, oracle, params, pi=pi, ctx=ctx)
+            chi = improve_balance(g, chi, w, oracle, params, pi=pi)
         stage_max["prop11"] = chi.max_boundary(g)
 
     # Stage 3: Proposition 12 — strict balance, unconditionally.
     if params.strictify:
         with span("pipeline.prop12"):
-            chi = binpack_strict(g, chi, w, oracle, ctx=ctx)
+            chi = binpack_strict(g, chi, w, oracle)
         stage_max["prop12"] = chi.max_boundary(g)
 
     # Stage 4 (engineering): window-preserving pairwise FM refinement.

@@ -53,7 +53,6 @@ def hierarchical_partition(
     weights=None,
     oracle=None,
     params: DecompositionParams | None = None,
-    ctx=None,
 ) -> HierarchicalResult:
     """Nested strictly balanced partitions with branching ``(k₁, k₂, …)``.
 
@@ -67,10 +66,6 @@ def hierarchical_partition(
     if not branching or any(k < 1 for k in branching):
         raise ValueError("branching must be a non-empty tuple of positive ints")
     w = as_float_array(weights if weights is not None else 1.0, g.n, name="weights")
-    if ctx is None:
-        from ..separators.solve import SolveContext
-
-        ctx = SolveContext.for_graph(g)
     level_labels: list[np.ndarray] = []
     # groups at the current level: list of vertex-index arrays
     groups: list[np.ndarray] = [np.arange(g.n, dtype=np.int64)]
@@ -82,10 +77,7 @@ def hierarchical_partition(
                 next_groups.extend([members] * k)
                 continue
             sub = g.subgraph(members)
-            res = min_max_partition(
-                sub.graph, k, weights=w[members], oracle=oracle, params=params,
-                ctx=ctx.for_subgraph(sub),
-            )
+            res = min_max_partition(sub.graph, k, weights=w[members], oracle=oracle, params=params)
             local = res.labels
             labels[members] = local
             for c in range(k):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..separators.solve import split_on
+from ..separators.solve import oracle_split
 from .coloring import Coloring
 from .measures import dynamic_mono_measure
 from .params import DecompositionParams
@@ -37,7 +37,6 @@ def multi_balanced_bicolor(
     members: np.ndarray,
     measures: list[np.ndarray],
     oracle,
-    ctx=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 8: 2-color ``G[members]`` balanced w.r.t. every measure.
 
@@ -56,15 +55,15 @@ def multi_balanced_bicolor(
     phi_last = measures[-1]
     sub = g.subgraph(members)
     local_w = phi_last[members]
-    u_local = split_on(oracle, sub, local_w, float(local_w.sum()) / 2.0, ctx)
+    u_local = oracle_split(oracle, sub.graph, local_w, float(local_w.sum()) / 2.0)
     u_mask = np.zeros(members.size, dtype=bool)
     u_mask[np.asarray(u_local, dtype=np.int64)] = True
     side1 = members[u_mask]
     side2 = members[~u_mask]
     if len(measures) == 1:
         return side1, side2
-    a1, b1 = multi_balanced_bicolor(g, side1, measures[:-1], oracle, ctx=ctx)
-    a2, b2 = multi_balanced_bicolor(g, side2, measures[:-1], oracle, ctx=ctx)
+    a1, b1 = multi_balanced_bicolor(g, side1, measures[:-1], oracle)
+    a2, b2 = multi_balanced_bicolor(g, side2, measures[:-1], oracle)
     # Condition (5): within side b, the class that keeps color b must carry at
     # most half of side b's Φ^(r)-mass; swap child labels when violated.
     if float(phi_last[a1].sum()) > float(phi_last[side1].sum()) / 2.0:
@@ -101,7 +100,6 @@ def rebalance(
     oracle,
     params: DecompositionParams | None = None,
     mono_edge: np.ndarray | None = None,
-    ctx=None,
 ) -> tuple[Coloring, RebalanceStats]:
     """Lemma 9: balance ``primary`` (Ψ) while roughly preserving ``others``.
 
@@ -173,7 +171,7 @@ def rebalance(
         x_set = tent[i]
         sub = g.subgraph(x_set)
         local_psi = psi[x_set]
-        u_local = split_on(oracle, sub, local_psi, avg + psi_max / 2.0, ctx)
+        u_local = oracle_split(oracle, sub.graph, local_psi, avg + psi_max / 2.0)
         u_mask = np.zeros(x_set.size, dtype=bool)
         u_mask[np.asarray(u_local, dtype=np.int64)] = True
         u_set = x_set[u_mask]
@@ -182,7 +180,7 @@ def rebalance(
         bicolor_measures = [psi] + [np.asarray(m, dtype=np.float64) for m in others]
         if mono_edge is not None:
             bicolor_measures.append(dynamic_mono_measure(g, vin[i], mono_edge))
-        p1, p2 = multi_balanced_bicolor(g, w_set, bicolor_measures, oracle, ctx=ctx)
+        p1, p2 = multi_balanced_bicolor(g, w_set, bicolor_measures, oracle)
         # Move steps (5.)-(6.): finalize i, hand the halves to x1, x2
         tent[i] = u_set
         psi_tent[i] = float(psi[u_set].sum())
@@ -211,7 +209,6 @@ def multi_balanced_coloring(
     oracle,
     params: DecompositionParams | None = None,
     initial: Coloring | None = None,
-    ctx=None,
 ) -> tuple[Coloring, list[RebalanceStats]]:
     """Lemma 6: a k-coloring balanced w.r.t. every measure with small
     average boundary cost.
@@ -232,7 +229,6 @@ def multi_balanced_coloring(
             others=list(measures[j + 1 :]),
             oracle=oracle,
             params=params,
-            ctx=ctx,
         )
         all_stats.append(stats)
     return chi, all_stats

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..separators.solve import split_on
+from ..separators.solve import oracle_split
 from .coloring import Coloring
 from .params import DecompositionParams
 
@@ -40,7 +40,6 @@ def iterative_partition(
     psi: np.ndarray,
     psi_star: float,
     oracle,
-    ctx=None,
 ) -> list[np.ndarray]:
     """Lemma 28's ``IterativePartition``: split ``members`` into parts of
     Ψ-weight in ``[ψ*, ψ* + ‖Ψ|U‖∞]`` (final remainder ≤ 3ψ*).
@@ -63,7 +62,7 @@ def iterative_partition(
             break
         local_max = float(psi[rest].max())
         sub = g.subgraph(rest)
-        u_local = split_on(oracle, sub, psi[rest], psi_star + local_max / 2.0, ctx)
+        u_local = oracle_split(oracle, sub.graph, psi[rest], psi_star + local_max / 2.0)
         u_mask = np.zeros(rest.size, dtype=bool)
         u_mask[np.asarray(u_local, dtype=np.int64)] = True
         part = rest[u_mask]
@@ -102,7 +101,6 @@ def extract_light_part(
     psi_target: float,
     other_measures: list[np.ndarray],
     oracle,
-    ctx=None,
 ) -> np.ndarray:
     """Corollaries 16/17 (via Lemma 29): a part ``X ⊆ U`` of Ψ-weight
     ``≈ psi_target`` carrying a *small* share of every other measure and of
@@ -118,7 +116,7 @@ def extract_light_part(
     total = float(psi[members].sum())
     if total <= psi_target or members.size == 1:
         return members
-    parts = iterative_partition(g, members, psi, psi_target, oracle, ctx=ctx)
+    parts = iterative_partition(g, members, psi, psi_target, oracle)
     if len(parts) == 1:
         return parts[0]
     loads = np.zeros(len(parts))
@@ -143,7 +141,6 @@ def extract_representative_part(
     psi_target: float,
     other_measures: list[np.ndarray],
     oracle,
-    ctx=None,
 ) -> np.ndarray:
     """Corollary 18 (via Lemma 30): a part ``X ⊆ U`` of Ψ-weight
     ``≈ psi_target`` carrying a *proportional* share of every other measure
@@ -160,7 +157,7 @@ def extract_representative_part(
         return members
     all_measures = list(other_measures) + [_boundary_measure(g, members)]
     r = max(1, len(all_measures))
-    fine = iterative_partition(g, members, psi, max(psi_target / (3.0 * r), 1e-300), oracle, ctx=ctx)
+    fine = iterative_partition(g, members, psi, max(psi_target / (3.0 * r), 1e-300), oracle)
     chosen: list[np.ndarray] = []
     chosen_ids: set[int] = set()
     for meas in all_measures:
@@ -182,7 +179,7 @@ def extract_representative_part(
         return x_bar
     local_max = float(psi[rest].max())
     sub = g.subgraph(rest)
-    s_local = split_on(oracle, sub, psi[rest], (psi_target - got) + local_max / 2.0, ctx)
+    s_local = oracle_split(oracle, sub.graph, psi[rest], (psi_target - got) + local_max / 2.0)
     return np.concatenate([x_bar, rest[np.asarray(s_local, dtype=np.int64)]])
 
 
@@ -204,7 +201,6 @@ def shrink(
     pi: np.ndarray,
     oracle,
     params: DecompositionParams | None = None,
-    ctx=None,
 ) -> tuple[Coloring, Coloring, ShrinkDiagnostics]:
     """§5 procedure ``Shrink``: split ``χ`` into ``(χ₀, χ₁)``.
 
@@ -243,7 +239,7 @@ def shrink(
         if over.size == 0 or guard > 4 * k * int(m_cap / eps + 2):
             break
         i = int(over[0])
-        x = extract_light_part(g, classes[i], w, eps * psi_star, other, oracle, ctx=ctx)
+        x = extract_light_part(g, classes[i], w, eps * psi_star, other, oracle)
         if x.size == 0 or x.size == classes[i].size:
             break
         mask = np.zeros(g.n, dtype=bool)
@@ -271,7 +267,7 @@ def shrink(
             if donors.size == 0:
                 break
             i = int(donors[np.argmax(cw[donors])])
-            x = extract_light_part(g, classes[i], w, eps * psi_star, other, oracle, ctx=ctx)
+            x = extract_light_part(g, classes[i], w, eps * psi_star, other, oracle)
             if x.size == 0 or x.size == classes[i].size:
                 break
             mask = np.zeros(g.n, dtype=bool)
@@ -301,7 +297,7 @@ def shrink(
         u = classes[i]
         if u.size == 0:
             continue
-        xi = extract_representative_part(g, u, w, eps * psi_star, other, oracle, ctx=ctx)
+        xi = extract_representative_part(g, u, w, eps * psi_star, other, oracle)
         labels0[xi] = i
         mask = np.zeros(g.n, dtype=bool)
         mask[u] = True

@@ -35,7 +35,6 @@ def improve_balance(
     oracle,
     params: DecompositionParams | None = None,
     pi: np.ndarray | None = None,
-    ctx=None,
 ) -> Coloring:
     """Proposition 11: weakly balanced → almost strictly balanced, with the
     maximum splitting and boundary costs growing by O(1) factors."""
@@ -43,7 +42,7 @@ def improve_balance(
     w = np.asarray(weights, dtype=np.float64)
     if pi is None:
         pi = splitting_cost_measure(g, params.p, params.sigma_p)
-    return _improve(g, coloring, w, oracle, params, pi, level=0, ctx=ctx)
+    return _improve(g, coloring, w, oracle, params, pi, level=0)
 
 
 def _improve(
@@ -54,7 +53,6 @@ def _improve(
     params: DecompositionParams,
     pi: np.ndarray,
     level: int,
-    ctx=None,
 ) -> Coloring:
     k = coloring.k
     support = np.flatnonzero(coloring.labels >= 0)
@@ -70,15 +68,15 @@ def _improve(
         or level >= params.max_shrink_levels
         or avg_class <= 0
     ):
-        return binpack_merge(g, coloring, np.zeros(k), w, oracle, ctx=ctx)
-    chi0, chi1, _diag = shrink(g, coloring, w, pi, oracle, params, ctx=ctx)
+        return binpack_merge(g, coloring, np.zeros(k), w, oracle)
+    chi0, chi1, _diag = shrink(g, coloring, w, pi, oracle, params)
     support1 = np.flatnonzero(chi1.labels >= 0)
     if support1.size == 0:
-        return binpack_merge(g, chi0, np.zeros(k), w, oracle, ctx=ctx)
+        return binpack_merge(g, chi0, np.zeros(k), w, oracle)
     if support1.size >= support.size:
         # shrink made no progress (degenerate weights); conquer directly
-        return binpack_merge(g, coloring, np.zeros(k), w, oracle, ctx=ctx)
-    chi1_hat = _improve(g, chi1, w, oracle, params, pi, level + 1, ctx=ctx)
+        return binpack_merge(g, coloring, np.zeros(k), w, oracle)
+    chi1_hat = _improve(g, chi1, w, oracle, params, pi, level + 1)
     w1_class = chi1_hat.class_weights(w)
-    chi0_tilde = binpack_merge(g, chi0, w1_class, w, oracle, ctx=ctx)
+    chi0_tilde = binpack_merge(g, chi0, w1_class, w, oracle)
     return chi0_tilde.direct_sum(chi1_hat)

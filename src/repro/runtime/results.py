@@ -16,7 +16,7 @@ Schema (version 1)::
         }, ...
       ],
       "timing": {"<scenario_id>": wall_clock_s, ...},    # only with timing=True
-      "solver": {"<scenario_id>": {solves, warm_starts, ...}, ...}  # ditto
+      "solver": {"<scenario_id>": {solves, dense, iterative, fallbacks}, ...}  # ditto
     }
 
 ``results`` is fully deterministic for a fixed scenario grid — identical for
@@ -71,7 +71,7 @@ class ScenarioResult:
     instance: dict
     metrics: dict
     wall_clock_s: float = 0.0
-    #: eigensolver counter deltas (solves/warm starts/…) for this scenario.
+    #: eigensolver counter deltas (solves/dense/iterative/fallbacks) for this scenario.
     #: Volatile like wall-clock — process-cache state leaks across scenarios —
     #: so it ships only in the opt-in ``timing``-tier ``solver`` block.
     solver_stats: dict | None = None

@@ -150,7 +150,7 @@ def fiedler_separator(g: Graph, weights: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # splitting set -> separation (Lemma 37, first direction)
 # ----------------------------------------------------------------------
-def separation_from_splitting(g: Graph, weights: np.ndarray, oracle, ctx=None) -> Separation:
+def separation_from_splitting(g: Graph, weights: np.ndarray, oracle) -> Separation:
     """Build a w-balanced separation from a splitting set (Lemma 37 part 1).
 
     If some vertex carries more than a third of the weight it is its own
@@ -169,7 +169,7 @@ def separation_from_splitting(g: Graph, weights: np.ndarray, oracle, ctx=None) -
         v = int(np.argmax(w))
         rest = np.setdiff1d(np.arange(n, dtype=np.int64), [v])
         return Separation(np.zeros(0, dtype=np.int64), rest, np.asarray([v], dtype=np.int64))
-    u = np.asarray(oracle_split(oracle, g, w, total / 3.0 + wmax / 2.0, ctx), dtype=np.int64)
+    u = np.asarray(oracle_split(oracle, g, w, total / 3.0 + wmax / 2.0), dtype=np.int64)
     mask = np.zeros(n, dtype=bool)
     mask[u] = True
     cut = g.cut_edges(u)
@@ -259,8 +259,6 @@ class SeparatorBasedOracle:
     the Definition 3 weight window holds unconditionally.
     """
 
-    accepts_ctx = True
-
     def __init__(self, separator_fn=bfs_level_separator, p: float = 2.0, leaf_size: int = 8):
         self.separator_fn = separator_fn
         self.p = p
@@ -270,7 +268,7 @@ class SeparatorBasedOracle:
     def name(self) -> str:
         return f"separator({getattr(self.separator_fn, '__name__', 'custom')})"
 
-    def split(self, g: Graph, weights: np.ndarray, target: float, ctx=None) -> np.ndarray:
+    def split(self, g: Graph, weights: np.ndarray, target: float) -> np.ndarray:
         order = nested_dissection_order(
             g, p=self.p, separator_fn=self.separator_fn, leaf_size=self.leaf_size
         )

@@ -148,12 +148,9 @@ def _grid_split_rec(
 class GridOracle:
     """Splitting oracle backed by ``GridSplit`` (grids only)."""
 
-    accepts_ctx = True
     name = "grid"
 
-    def split(self, g: Graph, weights: np.ndarray, target: float, ctx=None) -> np.ndarray:
-        # GridSplit is purely combinatorial — the context is accepted for
-        # uniform dispatch but carries nothing it can use
+    def split(self, g: Graph, weights: np.ndarray, target: float) -> np.ndarray:
         return grid_split(g, weights, target)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

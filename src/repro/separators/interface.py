@@ -28,13 +28,9 @@ class SplittingOracle(Protocol):
     Implementations must return a vertex-index array ``U`` over ``g``'s local
     ids satisfying ``|w(U) − target| ≤ ‖w‖∞ / 2`` (after clamping ``target``
     to ``[0, ‖w‖₁]``).  Cut quality is best-effort; the weight window is a
-    hard contract.
-
-    Oracles that consume a :class:`~repro.separators.solve.SolveContext`
-    additionally accept a ``ctx`` keyword and advertise it with a class
-    attribute ``accepts_ctx = True``; callers dispatch through
-    :func:`repro.separators.solve.oracle_split`, so plain 3-argument
-    implementations remain valid.
+    hard contract.  Callers dispatch through
+    :func:`repro.separators.solve.oracle_split`, which times the call under
+    the ``oracle.split`` span.
     """
 
     def split(self, g: Graph, weights: np.ndarray, target: float) -> np.ndarray:  # pragma: no cover - protocol

@@ -17,11 +17,10 @@ same names the sweep grid's ``oracle=`` param accepts.  Every oracle carries
 a stable ``name`` (the registry-style key, recorded in result records) and a
 constructor-shaped ``__repr__``.
 
-Context-aware oracles set ``accepts_ctx = True`` and take a
-``ctx`` keyword (:class:`repro.separators.solve.SolveContext`) carrying the
-solve cache and the parent level's warm-start vector; plain 3-argument
-oracles remain valid — dispatch through
-:func:`repro.separators.solve.oracle_split` handles both.
+Every oracle is a plain ``split(g, weights, target)``; callers go through
+:func:`repro.separators.solve.oracle_split`, which opens the ``oracle.split``
+span.  The spectral oracle's eigensolves consult the process-local solve
+cache on their own (:func:`repro.separators.orders.fiedler_vector`).
 """
 
 from __future__ import annotations
@@ -59,16 +58,14 @@ class _OrderOracle:
 
     #: whether to sweep for the cheapest in-window prefix (vs nearest prefix)
     sweep: bool = True
-    #: this oracle understands the ``ctx`` keyword
-    accepts_ctx: bool = True
     #: stable registry-style identifier, overridden per subclass
     name: str = "order"
 
-    def order(self, g: Graph, ctx=None) -> np.ndarray:  # pragma: no cover - abstract
+    def order(self, g: Graph) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def split(self, g: Graph, weights: np.ndarray, target: float, ctx=None) -> np.ndarray:
-        order = self.order(g, ctx=ctx)
+    def split(self, g: Graph, weights: np.ndarray, target: float) -> np.ndarray:
+        order = self.order(g)
         if self.sweep and g.m:
             return sweep_split(g, order, weights, target)
         return prefix_split(order, weights, target)
@@ -83,7 +80,7 @@ class IndexOracle(_OrderOracle):
     sweep = False
     name = "index"
 
-    def order(self, g: Graph, ctx=None) -> np.ndarray:
+    def order(self, g: Graph) -> np.ndarray:
         return index_order(g)
 
 
@@ -96,7 +93,7 @@ class LexOracle(_OrderOracle):
 
     name = "lex"
 
-    def order(self, g: Graph, ctx=None) -> np.ndarray:
+    def order(self, g: Graph) -> np.ndarray:
         return lexicographic_order(g)
 
 
@@ -105,21 +102,21 @@ class BfsOracle(_OrderOracle):
 
     name = "bfs"
 
-    def order(self, g: Graph, ctx=None) -> np.ndarray:
+    def order(self, g: Graph) -> np.ndarray:
         return bfs_peripheral_order(g)
 
 
 class SpectralOracle(_OrderOracle):
     """Sweep cut over the Fiedler order of the cost-weighted Laplacian.
 
-    The only oracle that *uses* the context: its eigensolves consult the
-    solve cache and warm-start from the parent level's vector.
+    The only oracle that solves an eigenproblem; its solves are memoized in
+    the process-local solve cache.
     """
 
     name = "spectral"
 
-    def order(self, g: Graph, ctx=None) -> np.ndarray:
-        return fiedler_order(g, ctx=ctx)
+    def order(self, g: Graph) -> np.ndarray:
+        return fiedler_order(g)
 
 
 class RandomOracle(_OrderOracle):
@@ -131,7 +128,7 @@ class RandomOracle(_OrderOracle):
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def order(self, g: Graph, ctx=None) -> np.ndarray:
+    def order(self, g: Graph) -> np.ndarray:
         return random_order(g, rng=self.seed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -141,8 +138,6 @@ class RandomOracle(_OrderOracle):
 class BestOfOracle:
     """Run a portfolio of oracles, keep the cheapest valid cut."""
 
-    accepts_ctx = True
-
     def __init__(self, oracles: Sequence | None = None):
         self.oracles = list(oracles) if oracles is not None else [BfsOracle(), SpectralOracle(), LexOracle()]
 
@@ -150,11 +145,11 @@ class BestOfOracle:
     def name(self) -> str:
         return "best(" + ",".join(o.name for o in self.oracles) + ")"
 
-    def split(self, g: Graph, weights: np.ndarray, target: float, ctx=None) -> np.ndarray:
+    def split(self, g: Graph, weights: np.ndarray, target: float) -> np.ndarray:
         best = None
         best_cost = np.inf
         for oracle in self.oracles:
-            u = oracle_split(oracle, g, weights, target, ctx)
+            u = oracle_split(oracle, g, weights, target)
             cost = g.boundary_cost(u)
             if cost < best_cost:
                 best, best_cost = u, cost

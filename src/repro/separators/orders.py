@@ -20,6 +20,7 @@ import numpy as np
 from .._util import as_rng, cumulative_prefix_target
 from ..graphs.components import bfs_order, connected_components, pseudo_peripheral_vertex
 from ..graphs.graph import Graph
+from .solve import COUNTERS, process_cache
 
 __all__ = [
     "index_order",
@@ -74,8 +75,10 @@ DENSE_CUTOFF = 128
 #: selected vector still sweeps to near-optimal cuts
 RAMP_DELTA = 1e-3
 
-#: fixed eigensolver tolerance — tight, so the solved vector (and hence the
-#: sweep order) does not depend on the quality of the warm-start hint
+#: fixed eigensolver tolerance — tight, so ARPACK converges past any
+#: start-vector dependence; with the default ``ncv`` every iterative solve
+#: applies the operator 21 times from any start, which is why one fixed start
+#: vector loses nothing
 EIGSH_TOL = 1e-10
 
 
@@ -97,18 +100,16 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _component_fiedler(g: Graph, hint: np.ndarray | None, tol: float) -> np.ndarray:
+def _component_fiedler(g: Graph, tol: float) -> np.ndarray:
     """Sign-canonical Fiedler vector of one positively-connected component.
 
     A deterministic diagonal ramp (``RAMP_DELTA`` relative to the mean cost
     degree) is added to the Laplacian so the second eigenvector is *unique*
     — without it, symmetric instances leave an eigenspace whose basis the
-    solver picks start-vector-dependently.  ``hint`` (the interpolated
-    parent-level vector) seeds the Lanczos iteration; the tight tolerance
-    makes the converged vector independent of the seed.  Warm starts do not
-    save iterations: with ARPACK's default ``ncv`` every iterative solve
-    applies the operator 21 times from any start vector, so what repeated
-    pipelines gain comes from the :class:`SolveCache`, not from the hint.
+    solver picks start-vector-dependently.  The Lanczos iteration always
+    starts from the fixed vector ``cos(i)``, so the result is a function of
+    the graph alone — what lets the :class:`~repro.separators.solve.SolveCache`
+    key on :meth:`Graph.structural_hash` and nothing else.
 
     The iterative path factors ``S = L + ramp − σI`` once.  ``σ < 0`` makes
     it symmetric positive definite, so SuperLU runs a symmetric
@@ -120,8 +121,6 @@ def _component_fiedler(g: Graph, hint: np.ndarray | None, tol: float) -> np.ndar
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-
-    from .solve import COUNTERS
 
     n = g.n
     if n <= 2:
@@ -154,17 +153,7 @@ def _component_fiedler(g: Graph, hint: np.ndarray | None, tol: float) -> np.ndar
         COUNTERS["dense"] += 1
         _, eigvecs = np.linalg.eigh(lap.toarray())
         return _canonical_sign(eigvecs[:, 1])
-    # seeded start vector: the hint (deflated against the constant mode)
-    # when present and well-conditioned, else a fixed cosine ramp
-    v0 = None
-    if hint is not None and hint.size == n and np.all(np.isfinite(hint)):
-        d = hint - float(hint.mean())
-        norm = float(np.linalg.norm(d))
-        if norm > 1e-12 * max(1.0, float(np.max(np.abs(hint)))) * np.sqrt(n):
-            v0 = d / norm
-            COUNTERS["warm_starts"] += 1
-    if v0 is None:
-        v0 = np.cos(np.arange(n, dtype=np.float64))
+    v0 = np.cos(np.arange(n, dtype=np.float64))
     try:
         COUNTERS["iterative"] += 1
         lu = spla.splu(
@@ -214,72 +203,48 @@ def _positive_components(g: Graph) -> np.ndarray:
     return connected_components(g)
 
 
-def fiedler_vector(g: Graph, x0: np.ndarray | None = None, tol: float = EIGSH_TOL, ctx=None) -> np.ndarray:
+def fiedler_vector(g: Graph, tol: float = EIGSH_TOL) -> np.ndarray:
     """Deterministic Fiedler embedding of the cost-weighted Laplacian.
 
-    Solved per component of the positive-cost edge set (seeded start
-    vector, symmetry-breaking ramp, canonical sign — see
-    :func:`_component_fiedler`); components are composed into one full-length
-    vector ``2·cid + scaled component vector``, so the stable argsort keeps
+    Solved per component of the positive-cost edge set (fixed start vector,
+    symmetry-breaking ramp, canonical sign — see :func:`_component_fiedler`);
+    components are composed into one full-length vector
+    ``2·cid + scaled component vector``, so the stable argsort keeps
     components contiguous and each internally in Fiedler order.
 
-    ``x0`` (or the vector field carried by ``ctx``) warm-starts the
-    eigensolve.  Solves are memoized in ``ctx``'s :class:`SolveCache` keyed
-    by :meth:`Graph.structural_hash` *plus the exact hint bytes* — the hint
-    is part of the key, so a hit only ever replaces the identical
-    (deterministic) recomputation and is bitwise equal to it.  Toggling the
-    cache therefore cannot change any downstream record.
+    Solves are memoized in the :func:`~repro.separators.solve.process_cache`
+    keyed by :meth:`Graph.structural_hash` alone.  The vector depends on
+    nothing else, so a hit is bitwise equal to the recomputation it replaces
+    and toggling the cache cannot change any downstream record.
     """
     n = g.n
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    hint = x0
-    if hint is None and ctx is not None:
-        hint = ctx.hint_for(g)
-    cache = ctx.cache if ctx is not None else None
-    key = None
-    if cache is not None and n > 2:
-        key = g.structural_hash()
-        if hint is not None:
-            import hashlib
-
-            key += ":" + hashlib.sha256(
-                np.ascontiguousarray(hint, dtype=np.float64).tobytes()
-            ).hexdigest()[:16]
-        cached = cache.get(key)
-        if cached is not None:
-            if ctx is not None:
-                ctx.note(g, cached)
-            return cached
     if n <= 2:
-        vec = np.arange(n, dtype=np.float64)
+        return np.arange(n, dtype=np.float64)
+    cache = process_cache()
+    if cache is not None:
+        cached = cache.get(g.structural_hash())
+        if cached is not None:
+            return cached
+    comp = _positive_components(g)
+    ncomp = int(comp.max()) + 1
+    if ncomp == 1:
+        vec = _component_fiedler(g, tol)
     else:
-        comp = _positive_components(g)
-        ncomp = int(comp.max()) + 1
-        if ncomp == 1:
-            vec = _component_fiedler(g, hint, tol)
-        else:
-            vec = np.empty(n, dtype=np.float64)
-            for cid in range(ncomp):
-                members = np.flatnonzero(comp == cid).astype(np.int64)
-                if members.size <= 2:
-                    inner = np.arange(members.size, dtype=np.float64)
-                else:
-                    sub = g.subgraph(members)
-                    inner = _component_fiedler(
-                        sub.graph, hint[members] if hint is not None else None, tol
-                    )
-                vec[members] = 2.0 * cid + _scale01(inner)
-    vec = np.asarray(vec, dtype=np.float64)
+        vec = np.empty(n, dtype=np.float64)
+        for cid in range(ncomp):
+            members = np.flatnonzero(comp == cid).astype(np.int64)
+            if members.size <= 2:
+                inner = np.arange(members.size, dtype=np.float64)
+            else:
+                inner = _component_fiedler(g.subgraph(members).graph, tol)
+            vec[members] = 2.0 * cid + _scale01(inner)
     vec.setflags(write=False)
-    if key is not None:
-        cache.put(key, vec)
-    if ctx is not None:
-        ctx.note(g, vec)
+    if cache is not None:
+        cache.put(g.structural_hash(), vec)
     return vec
 
 
-def fiedler_order(g: Graph, ctx=None) -> np.ndarray:
+def fiedler_order(g: Graph) -> np.ndarray:
     """Vertices sorted by Fiedler value, component by component.
 
     The component-composed :func:`fiedler_vector` keeps disconnected (and
@@ -288,8 +253,7 @@ def fiedler_order(g: Graph, ctx=None) -> np.ndarray:
     """
     if g.n == 0:
         return np.zeros(0, dtype=np.int64)
-    vec = fiedler_vector(g, ctx=ctx)
-    return np.argsort(vec, kind="stable").astype(np.int64)
+    return np.argsort(fiedler_vector(g), kind="stable").astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,18 @@
-"""Spectral solve cache and the ``SolveContext`` threaded through oracles.
+"""Spectral solve cache and the one ``oracle.split`` entry point.
 
-The Theorem 4 pipeline calls the splitting oracle once per shrink level on
+The Theorem 4 pipeline calls the splitting oracle once per recursion step on
 closely related subgraphs of one host graph, and the sweep/service layers
 re-solve the *same* graphs across scenarios (the Laplacian only sees edge
 costs, so every ``k``/weight/algorithm combination on an instance shares its
-spectral orders).  This module supplies the two mechanisms that exploit both:
+spectral orders).  :class:`SolveCache` is the process-local memo
+``structural_hash -> Fiedler vector`` that exploits both.
 
-``SolveCache``
-    Process-local memo ``(structural_hash, hint bytes) -> Fiedler vector``.
-    The warm-start hint is *part of the key*: a hit only ever replaces the
-    bitwise-identical recomputation (the solver is deterministic for
-    identical inputs), so toggling the cache (``REPRO_ORACLE_CACHE=0``)
-    cannot change any downstream record — the property the CI byte-identity
-    gates hold.  Repeated pipeline cells (ablation axes, zipf-repeated
-    service requests) re-derive identical hints at every recursion level,
-    so whole recursions hit.
-
-``SolveContext``
-    Per-pipeline carrier threaded through ``oracle.split(..., ctx=)``.  It
-    owns the cache handle and a *vector field* over its graph: every solved
-    Fiedler vector is scattered back into the field (and recursively into
-    the parent context's field through the subgraph origin maps), and
-    ``for_subgraph`` restricts the field into a child context — so each
-    shrink/hierarchy level starts its eigensolve from the interpolated
-    parent-level vector.  Warm starts are part of the deterministic
-    algorithm: they flow identically with the cache on or off.
+Every eigensolve starts from one fixed vector
+(:func:`repro.separators.orders.fiedler_vector`), so a Fiedler vector is a
+function of its graph alone: a hit replaces a bitwise-identical
+recomputation, two recursion paths that reach the same subgraph share one
+entry, and toggling the cache (``REPRO_ORACLE_CACHE=0``) cannot change any
+downstream record — the property the CI byte-identity gates hold.
 
 Everything here is numpy-only so the substrate can import it without
 cycles.
@@ -41,9 +29,7 @@ from ..obs import span
 
 __all__ = [
     "SolveCache",
-    "SolveContext",
     "oracle_split",
-    "split_on",
     "cache_enabled",
     "process_cache",
     "reset_solver_state",
@@ -60,7 +46,7 @@ DEFAULT_CACHE_SIZE = 256
 #: process-wide solver counters (volatile diagnostics — surfaced through the
 #: ``stats`` wire op and the opt-in timing block, never in deterministic
 #: result records)
-COUNTERS = {"solves": 0, "dense": 0, "iterative": 0, "warm_starts": 0, "fallbacks": 0}
+COUNTERS = {"solves": 0, "dense": 0, "iterative": 0, "fallbacks": 0}
 
 
 def cache_enabled() -> bool:
@@ -69,7 +55,7 @@ def cache_enabled() -> bool:
 
 
 class SolveCache:
-    """Bounded LRU ``(structural_hash[, hint hash]) -> Fiedler vector``.
+    """Bounded LRU ``structural_hash -> Fiedler vector``.
 
     Same eviction discipline as the service's :class:`ColoringCache`
     (both delegate to :class:`repro._util.BoundedLru`); hit/miss/eviction
@@ -123,16 +109,20 @@ _PROCESS_CACHE: SolveCache | None = None
 
 
 def process_cache() -> SolveCache | None:
-    """The process-local solve cache, or ``None`` when disabled by env."""
+    """The process-local solve cache, or ``None`` when disabled by env.
+
+    ``REPRO_ORACLE_CACHE_SIZE`` bounds it (unset: 256); anything but a
+    non-negative integer raises ``ValueError`` naming the variable and its
+    value, so a typo never silently runs with the default.
+    """
     global _PROCESS_CACHE
     if not cache_enabled():
         return None
     if _PROCESS_CACHE is None:
-        try:
-            size = int(os.environ.get(ENV_SIZE, DEFAULT_CACHE_SIZE))
-        except ValueError:
-            size = DEFAULT_CACHE_SIZE
-        _PROCESS_CACHE = SolveCache(maxsize=size)
+        raw = os.environ.get(ENV_SIZE, str(DEFAULT_CACHE_SIZE))
+        if not raw.strip().isdecimal():
+            raise ValueError(f"{ENV_SIZE}={raw!r} is not a non-negative integer")
+        _PROCESS_CACHE = SolveCache(maxsize=int(raw))
     return _PROCESS_CACHE
 
 
@@ -158,90 +148,11 @@ def solver_stats() -> dict:
     }
 
 
-_AUTO = object()
+def oracle_split(oracle, g, weights, target):
+    """``oracle.split(g, weights, target)`` inside an ``oracle.split`` span.
 
-
-class SolveContext:
-    """Carries the solve cache and the parent level's vector between solves.
-
-    A context is bound to one graph (``n`` vertices).  ``for_subgraph``
-    derives a child context for an induced subgraph: the child inherits the
-    cache handle, starts its vector field from the restriction of the
-    parent's field, and scatters everything it later solves back up through
-    the origin maps — so sibling subgraphs at the same recursion level also
-    benefit from each other's solves where they overlap.
-    """
-
-    __slots__ = ("cache", "level", "_parent", "_vertices", "_field", "_have")
-
-    def __init__(self, n: int | None = None, cache=_AUTO, level: int = 0):
-        self.cache = process_cache() if cache is _AUTO else cache
-        self.level = int(level)
-        self._parent: SolveContext | None = None
-        self._vertices: np.ndarray | None = None
-        self._field = np.zeros(int(n), dtype=np.float64) if n is not None else None
-        self._have = False
-
-    @classmethod
-    def for_graph(cls, g, cache=_AUTO) -> "SolveContext":
-        return cls(n=g.n, cache=cache)
-
-    def hint_for(self, g) -> np.ndarray | None:
-        """The warm-start vector for solving ``g``, if one has accumulated."""
-        if self._have and self._field is not None and self._field.size == g.n and g.n > 2:
-            return self._field
-        return None
-
-    def note(self, g, vec: np.ndarray) -> None:
-        """Record a solved vector for ``g`` and propagate it to ancestors."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if self._field is None or self._field.size != g.n:
-            self._field = np.zeros(g.n, dtype=np.float64)
-        self._field[...] = vec
-        self._have = True
-        if self._parent is not None and self._vertices is not None and vec.size:
-            self._parent._scatter(self._vertices, vec)
-
-    def _scatter(self, vertices: np.ndarray, values: np.ndarray) -> None:
-        if self._field is None or vertices.size == 0 or self._field.size <= int(vertices.max()):
-            return
-        self._field[vertices] = values
-        self._have = True
-        if self._parent is not None and self._vertices is not None:
-            self._parent._scatter(self._vertices[vertices], values)
-
-    def for_subgraph(self, sub) -> "SolveContext":
-        """Child context for ``sub`` (a :class:`repro.graphs.Subgraph`)."""
-        # type(self): subclasses (e.g. a bench's hint-free ablation context)
-        # keep their behavior through the recursion
-        child = type(self)(n=sub.graph.n, cache=self.cache, level=self.level + 1)
-        child._parent = self
-        child._vertices = np.asarray(sub.vertices, dtype=np.int64)
-        if (
-            self._have
-            and self._field is not None
-            and sub.vertices.size
-            and self._field.size > int(child._vertices.max())
-        ):
-            child._field[...] = self._field[child._vertices]
-            child._have = True
-        return child
-
-
-def oracle_split(oracle, g, weights, target, ctx: SolveContext | None = None):
-    """Call ``oracle.split`` passing ``ctx`` only to context-aware oracles.
-
-    Oracles advertise context support with a class attribute
-    ``accepts_ctx = True``; plain 3-argument oracles (user code, test
-    doubles) keep working unchanged.
+    The one call site every pipeline stage, baseline and portfolio goes
+    through, so split time rolls up under one span name.
     """
     with span("oracle.split"):
-        if ctx is not None and getattr(oracle, "accepts_ctx", False):
-            return oracle.split(g, weights, target, ctx=ctx)
         return oracle.split(g, weights, target)
-
-
-def split_on(oracle, sub, weights, target, ctx: SolveContext | None = None):
-    """Split an induced :class:`Subgraph`, restricting ``ctx`` into it."""
-    child = ctx.for_subgraph(sub) if ctx is not None else None
-    return oracle_split(oracle, sub.graph, weights, target, child)

@@ -20,7 +20,8 @@ Determinism contract: every quantity in :meth:`StreamSession.snapshot` is a
 pure function of (scenario spec, mutation sequence) — traces are seeded from
 the instance spec, solves from the scenario — so the same trace and policy
 produce byte-identical snapshots whatever process, shard count, or host
-replayed them.  Wall-clock lives in :meth:`timings`, outside the snapshot.
+replayed them.  Wall-clock lives in ``repair_seconds`` and
+``recompute_seconds``, outside the snapshot.
 """
 
 from __future__ import annotations
@@ -329,13 +330,6 @@ class StreamSession:
                 for key, val in self.metrics().items()
             },
             "counters": self.counters(),
-        }
-
-    def timings(self) -> dict:
-        """Volatile wall-clock totals — never part of a snapshot."""
-        return {
-            "repair_seconds": round(self.repair_seconds, 6),
-            "recompute_seconds": round(self.recompute_seconds, 6),
         }
 
 

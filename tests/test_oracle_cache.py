@@ -1,18 +1,20 @@
-"""Tests for the spectral solve cache, SolveContext, the oracle registry and
-the eigensolver behind them.
+"""Tests for the spectral solve cache, the oracle registry and the
+eigensolver behind them.
 
 The load-bearing property under test: records are byte-identical with the
-solve cache on or off, and with warm starts hot or cold — the cache only
-memoizes canonical (hint-free) solves, and the fixed-tolerance solver makes
-the converged vector independent of its start vector.
+solve cache on or off.  Every eigensolve starts from one fixed vector, so a
+Fiedler vector is a function of its graph alone and the cache keys on
+``Graph.structural_hash()`` and nothing else.
 """
 
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+from repro.core import min_max_partition
 from repro.graphs import (
     Graph,
     disjoint_union,
@@ -20,6 +22,7 @@ from repro.graphs import (
     path_graph,
     triangulated_mesh,
     unit_weights,
+    zipf_weights,
 )
 from repro.graphs.components import bfs_levels, pseudo_peripheral_vertex
 from repro.obs import events, registry, reset_telemetry, telemetry_enabled
@@ -27,7 +30,6 @@ from repro.runtime import Scenario, run_scenario
 from repro.separators import (
     REGISTRY,
     SolveCache,
-    SolveContext,
     check_split_window,
     fiedler_order,
     fiedler_vector,
@@ -37,6 +39,7 @@ from repro.separators import (
     reset_solver_state,
     solver_stats,
 )
+from repro.separators import orders
 from repro.separators.orders import (
     DENSE_CUTOFF,
     EIGSH_TOL,
@@ -55,60 +58,74 @@ def _fresh_solver_state():
 
 
 def big_grid(seed=0):
-    """A grid large enough for the iterative (warm-startable) eigensolver."""
+    """A grid large enough for the iterative eigensolver."""
     g = grid_graph(20, 20)
     rng = np.random.default_rng(seed)
     return g.with_costs(rng.uniform(0.5, 2.0, g.m))
 
 
 class TestSolveCache:
-    def test_hit_returns_bitwise_identical_vector(self):
+    def test_hit_returns_bitwise_identical_vector(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
         g = big_grid()
-        cache = SolveCache()
-        cold = fiedler_vector(g, ctx=SolveContext.for_graph(g, cache=cache))
-        hit = fiedler_vector(g, ctx=SolveContext.for_graph(g, cache=cache))
+        cold = fiedler_vector(g)
+        hit = fiedler_vector(g)
         assert hit.tobytes() == cold.tobytes()
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
+        assert process_cache().stats()["hits"] == 1
+        assert process_cache().stats()["misses"] == 1
         assert COUNTERS["solves"] == 1  # the hit skipped the eigensolve
 
-    def test_cached_vectors_are_read_only(self):
-        g = big_grid()
-        cache = SolveCache()
-        vec = fiedler_vector(g, ctx=SolveContext.for_graph(g, cache=cache))
+    def test_cached_vectors_are_read_only(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        vec = fiedler_vector(big_grid())
         with pytest.raises(ValueError):
             vec[0] = 1.0
 
-    def test_lru_eviction_accounting(self):
-        cache = SolveCache(maxsize=2)
+    def test_lru_eviction_accounting(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", "2")
+        reset_solver_state()
         graphs = [big_grid(seed=s) for s in range(3)]
         for g in graphs:
-            fiedler_vector(g, ctx=SolveContext.for_graph(g, cache=cache))
-        stats = cache.stats()
-        assert stats == {"entries": 2, "maxsize": 2, "hits": 0,
-                         "misses": 3, "evictions": 1}
+            fiedler_vector(g)
+        cache = process_cache()
+        assert cache.stats() == {"entries": 2, "maxsize": 2, "hits": 0,
+                                 "misses": 3, "evictions": 1}
         # the first graph was evicted; the last two are resident
         assert graphs[0].structural_hash() not in cache
         assert graphs[2].structural_hash() in cache
 
-    def test_hint_is_part_of_the_cache_key(self):
+    def test_one_subgraph_reached_twice_shares_one_entry(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
         g = big_grid()
-        cache = SolveCache()
-        hint = np.linspace(0.0, 1.0, g.n)
-        first = fiedler_vector(g, x0=hint, ctx=SolveContext.for_graph(g, cache=cache))
-        again = fiedler_vector(g, x0=hint, ctx=SolveContext.for_graph(g, cache=cache))
-        # the identical (graph, hint) pair hits, bitwise
-        assert again.tobytes() == first.tobytes()
-        assert cache.stats()["hits"] == 1 and COUNTERS["solves"] == 1
-        # a different hint is a different key — it must NOT be served the
-        # other hint's vector (that is what keeps memoization exact)
-        fiedler_vector(g, x0=hint * 2.0 + 1.0,
-                       ctx=SolveContext.for_graph(g, cache=cache))
-        assert cache.stats()["misses"] == 2
-        # and the hint-free canonical solve is yet another key
-        fiedler_vector(g, ctx=SolveContext.for_graph(g, cache=cache))
-        assert cache.stats()["misses"] == 3
-        assert cache.stats()["entries"] == 3
+        members = np.arange(150, dtype=np.int64)
+        first = fiedler_vector(g.subgraph(members).graph)
+        second = fiedler_vector(g.subgraph(members.copy()).graph)
+        assert second.tobytes() == first.tobytes()
+        assert process_cache().stats()["entries"] == 1
+        assert COUNTERS["solves"] == 1
+
+    def test_pipeline_keys_are_structural_hashes(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        solved, keys = [], []
+        real_solve, real_put = orders.fiedler_vector, SolveCache.put
+
+        def recording_solve(g, *args, **kwargs):
+            solved.append(g.structural_hash())
+            return real_solve(g, *args, **kwargs)
+
+        def recording_put(self, key, vec):
+            keys.append(key)
+            real_put(self, key, vec)
+
+        monkeypatch.setattr(orders, "fiedler_vector", recording_solve)
+        monkeypatch.setattr(SolveCache, "put", recording_put)
+        min_max_partition(grid_graph(24, 24), 8)
+        assert keys and COUNTERS["iterative"] > 0
+        assert set(keys) <= set(solved)
+        # a key is put once: a later solve of the same structure is a hit
+        assert len(keys) == len(set(keys))
+        assert process_cache().stats()["entries"] == len(keys)
 
     def test_structural_hash_ignores_coords_and_sees_costs(self):
         g = grid_graph(5, 5)
@@ -130,52 +147,39 @@ class TestSolveCache:
         monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", "3")
         reset_solver_state()
         assert process_cache().maxsize == 3
+        monkeypatch.delenv("REPRO_ORACLE_CACHE_SIZE")
+        reset_solver_state()
+        assert process_cache().maxsize == 256
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_bad_env_size_is_an_error(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", value)
+        reset_solver_state()
+        with pytest.raises(ValueError, match=f"REPRO_ORACLE_CACHE_SIZE={value!r}"):
+            process_cache()
 
 
-class TestWarmStartDeterminism:
-    def test_warm_equals_cold_on_grid(self):
-        g = big_grid()
-        cold = fiedler_vector(g)
-        hint = cold + np.random.default_rng(1).normal(0.0, 0.02, g.n)
-        warm = fiedler_vector(g, x0=hint)
-        assert COUNTERS["warm_starts"] == 1
-        # the tight tolerance + symmetry-breaking ramp make the converged
-        # vector hint-independent: identical sweep order, near-identical
-        # values (both far below the ramp-induced eigengap)
-        assert np.array_equal(np.argsort(cold, kind="stable"),
-                              np.argsort(warm, kind="stable"))
-        assert float(np.max(np.abs(cold - warm))) < 1e-9
+#: sha256 of the int64 label bytes of ``min_max_partition`` with the default
+#: oracle and zipf weights (``default_rng(11)``); every cell makes iterative
+#: subgraph solves, so these pin the spectral oracle's orders end to end
+PINNED_LABEL_DIGESTS = {
+    ("grid", 4): "f9b484490a57b21d554d6c83de4649ad99677b11538bdead72f99ef576b4fce2",
+    ("grid", 8): "dbe506dc2d503ae1da99cad341347f0bcafaf6ea3ed11e90e256c05f84448cee",
+    ("mesh", 4): "2bd044d389498435624c754c5458a74855465a3a1419c5b8daae3709288ec1fa",
+    ("mesh", 8): "bb9995ed4e9945a93ee36193ff00ea3a4577152bae8d7453a68ed81d1f7f70f8",
+}
 
-    def test_degenerate_hint_falls_back_to_cold_start(self):
-        g = big_grid()
-        cold = fiedler_vector(g)
-        warm = fiedler_vector(g, x0=np.ones(g.n))  # deflates to ~zero
-        assert COUNTERS["warm_starts"] == 0
-        assert warm.tobytes() == cold.tobytes()
 
-    def test_context_threads_hints_through_pipeline(self):
-        from repro.core import min_max_partition
-
-        g = big_grid()
-        res = min_max_partition(g, 4, oracle=make_oracle("spectral"))
-        assert res.is_strictly_balanced()
-        assert COUNTERS["solves"] > 1
-        # the shrink recursion's subgraph solves start from the interpolated
-        # parent-level vector — that is the whole point of SolveContext
-        assert COUNTERS["warm_starts"] > 0
-
-    def test_subgraph_context_restricts_and_scatters(self):
-        g = big_grid()
-        ctx = SolveContext.for_graph(g, cache=None)
-        full = fiedler_vector(g, ctx=ctx)
-        sub = g.subgraph(np.arange(g.n // 2, dtype=np.int64))
-        child = ctx.for_subgraph(sub)
-        # the child starts from the restriction of the parent's field
-        assert np.array_equal(child.hint_for(sub.graph), full[: g.n // 2])
-        solved = fiedler_vector(sub.graph, ctx=child)
-        # ...and its solve scatters back up into the parent's field
-        assert np.array_equal(ctx.hint_for(g)[: g.n // 2], solved)
-        assert np.array_equal(ctx.hint_for(g)[g.n // 2:], full[g.n // 2:])
+class TestPinnedLabels:
+    @pytest.mark.parametrize("family, k", sorted(PINNED_LABEL_DIGESTS))
+    def test_labels_match_pinned_digest(self, family, k):
+        g = grid_graph(24, 24) if family == "grid" else triangulated_mesh(24, 24)
+        w = zipf_weights(g, rng=np.random.default_rng(11))
+        labels = min_max_partition(g, k, weights=w).labels
+        digest = hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
+        assert COUNTERS["iterative"] > 0
+        assert digest.hexdigest() == PINNED_LABEL_DIGESTS[family, k]
 
 
 class TestDegenerateGraphs:
@@ -239,9 +243,8 @@ class TestRegistry:
     def test_grid_oracle_dispatch_with_context(self):
         g = grid_graph(8, 8)
         w = unit_weights(g)
-        ctx = SolveContext.for_graph(g, cache=SolveCache())
         for name in ("grid", "best", "spectral"):
-            u = oracle_split(make_oracle(name, g=g), g, w, 20.0, ctx)
+            u = oracle_split(make_oracle(name, g=g), g, w, 20.0)
             assert check_split_window(w, 20.0, u)
 
     def test_plain_three_arg_oracles_still_dispatch(self):
@@ -250,8 +253,7 @@ class TestRegistry:
                 return np.arange(int(round(target)), dtype=np.int64)
 
         g = grid_graph(4, 4)
-        ctx = SolveContext.for_graph(g, cache=None)
-        u = oracle_split(Plain(), g, unit_weights(g), 8.0, ctx)
+        u = oracle_split(Plain(), g, unit_weights(g), 8.0)
         assert u.size == 8
 
 
@@ -264,6 +266,9 @@ class TestByteIdentity:
         Scenario(family="grid", size=16, k=4, algorithm="minmax", weights="zipf"),
         Scenario(family="mesh", size=12, k=3, algorithm="recursive-bisection"),
         Scenario(family="grid", size=16, k=2, algorithm="kst", weights="bimodal"),
+        # iterative subgraph solves: recursion paths that reach one subgraph
+        # share its cache entry
+        Scenario(family="grid", size=24, k=8, algorithm="minmax"),
     ]
 
     def test_records_identical_cache_on_off(self, monkeypatch):
@@ -341,14 +346,14 @@ class TestShiftInvertFactorization:
 
         monkeypatch.setattr(spla, "splu", recording_splu)
         for sub in iterative_components(components_instance()):
-            _component_fiedler(sub, None, EIGSH_TOL)
+            _component_fiedler(sub, EIGSH_TOL)
         assert len(factors) == 2
         for lu in factors:
             assert np.array_equal(lu.perm_r, lu.perm_c)
 
     def test_vector_matches_dense_reference(self):
         for sub in iterative_components(components_instance()):
-            a = _component_fiedler(sub, None, EIGSH_TOL)
+            a = _component_fiedler(sub, EIGSH_TOL)
             b = dense_reference(sub)
             cos = abs(float(a @ b)) / (np.linalg.norm(a) * np.linalg.norm(b))
             assert cos >= 1.0 - 1e-9

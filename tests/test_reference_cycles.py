@@ -1,8 +1,8 @@
 """Recursive partitioners leave no reference cycles behind.
 
 A nested function that calls itself is a cycle (function -> closure cell
--> function), so everything it closes over — the graph, weights, oracle
-and ``SolveContext`` — survives the call until a full garbage collection.
+-> function), so everything it closes over — the graph, weights and
+oracle — survives the call until a full garbage collection.
 With the collector disabled, a call must leave nothing for it to find.
 """
 

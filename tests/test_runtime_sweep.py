@@ -240,6 +240,24 @@ class TestSweepCli:
         grid = ScenarioGrid(**SWEEP_PRESETS["smoke"])
         assert len(grid.scenarios()) == 24
 
+    def test_sweep_reports_bad_oracle_cache_size_before_running(self, monkeypatch):
+        import repro.runtime as runtime_mod
+        from repro.separators import reset_solver_state
+
+        ran = []
+        monkeypatch.setattr(runtime_mod, "run_sweep", lambda *a, **kw: ran.append(a) or [])
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", "abc")
+        reset_solver_state()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--family", "grid", "--size", "8", "--k", "2", "--workers", "2"])
+        finally:
+            reset_solver_state()
+        assert exc.value.code == (
+            "sweep: REPRO_ORACLE_CACHE_SIZE='abc' is not a non-negative integer")
+        assert ran == []
+
     def test_sweep_requires_axes(self):
         with pytest.raises(SystemExit):
             main(["sweep"])

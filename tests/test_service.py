@@ -768,6 +768,30 @@ class TestServiceCli:
         assert isinstance(exc.value.code, str) and exc.value.code.startswith("serve: ")
         assert built == []
 
+    @pytest.mark.parametrize("extra, env, message", [
+        (["--oracle-cache-size", "-1"], None, "--oracle-cache-size must be >= 0, got -1"),
+        ([], "abc", "REPRO_ORACLE_CACHE_SIZE='abc' is not a non-negative integer"),
+    ], ids=["flag", "env"])
+    def test_serve_reports_bad_oracle_cache_size_in_one_line(self, monkeypatch, extra, env,
+                                                             message):
+        import repro.service as service_mod
+        from repro.separators import reset_solver_state
+
+        def unreachable(**kw):
+            raise AssertionError("the service was built despite a bad size")
+
+        monkeypatch.setattr(service_mod, "DecompositionService", unreachable)
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        if env is not None:
+            monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", env)
+        reset_solver_state()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--port", "0", *extra])
+        finally:
+            reset_solver_state()
+        assert exc.value.code == f"serve: {message}"
+
     def test_serve_has_no_batch_timer_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--max-wait-ms", "2"])
@@ -814,7 +838,10 @@ class TestClientResilience:
     def test_request_timeout_bounds_the_round_trip(self):
         async def run():
             async def black_hole(reader, writer):
-                await reader.read()  # consume forever, never reply
+                try:
+                    await reader.read()  # consume forever, never reply
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(black_hole, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
