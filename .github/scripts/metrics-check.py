@@ -5,7 +5,7 @@ Usage::
 
     metrics-check.py URL            # one scrape: well-formedness checks
     metrics-check.py URL --wait 120 # poll until request histograms appear
-    metrics-check.py URL --reconcile  # + span totals vs request wall-clock
+    metrics-check.py URL --reconcile  # + span totals vs request wall-clock, solves
 
 Checks held on every scrape:
 
@@ -19,7 +19,9 @@ the summed top-level ``scenario.*`` span seconds (recorded inside the
 shard workers) must not exceed the decompose requests' measured
 wall-clock sum (timed around the whole request in the front-end).  Run it
 on a quiesced server — mid-flight requests may have closed their spans
-before their histogram observation lands.
+before their histogram observation lands.  It also requires the shard
+workers' eigensolver counts (``repro_fiedler_solves_total``) with at least
+one solve, so the solver's registry entries are known to reach the scrape.
 """
 
 import re
@@ -108,6 +110,9 @@ def reconcile(series: dict) -> None:
         f"{sorted(top_level)} within {hist_sum:.3f}s of request wall-clock "
         f"({int(hist_count)} requests)"
     )
+    solves = sum(value for _, value in series.get("repro_fiedler_solves_total", []))
+    assert solves >= 1, "no eigensolver solves counted (repro_fiedler_solves_total)"
+    print(f"metrics-check: {int(solves)} eigensolver solves counted")
 
 
 def main(argv: list[str]) -> int:

@@ -448,29 +448,27 @@ def _run_sweep(args) -> int:
 
 
 def _show_span_rollup(results) -> None:
-    """Aggregate per-scenario span deltas into one phase-timing table.
+    """Merge the per-scenario telemetry and show its span rollups as one
+    phase-timing table.
 
     Shown with ``sweep --timing`` when telemetry is on: where the sweep's
     wall-clock went, by hierarchical phase path.  Share is relative to the
     total of the top-level spans (children are nested inside them, so the
     top-level sum is the reconciled whole).
     """
-    totals: dict[str, list] = {}
-    for r in results:
-        for path, entry in (r.span_stats or {}).items():
-            t = totals.setdefault(path, [0, 0.0])
-            t[0] += entry["calls"]
-            t[1] += entry["seconds"]
+    from .obs import merge_snapshots
+
+    totals = merge_snapshots([r.telemetry for r in results])["spans"]
     if not totals:
         return
-    top_level_s = sum(t[1] for path, t in totals.items() if "/" not in path)
+    top_level_s = sum(t["seconds"] for path, t in totals.items() if "/" not in path)
     table = Table(
         "span rollup — wall-clock by phase",
         ["span", "calls", "seconds", "share %"],
         note="hierarchical paths; children are included in their parents",
     )
     for path in sorted(totals):
-        calls, seconds = totals[path]
+        calls, seconds = totals[path]["calls"], totals[path]["seconds"]
         share = 100.0 * seconds / top_level_s if top_level_s > 0 else 0.0
         table.add(path, calls, round(seconds, 3), f"{share:.1f}")
     table.show()
@@ -583,6 +581,8 @@ def _run_route(args) -> int:
 
     from .service import RingRouter, route_serve
 
+    if args.probe_interval is not None and not args.probe_interval > 0:
+        raise SystemExit(f"route: --probe-interval must be > 0, got {args.probe_interval}")
     if args.log_json:
         from .obs import events
 

@@ -2,9 +2,10 @@
 
 The observability substrate every layer shares:
 
-* :mod:`.metrics` — process-local counters/gauges/log-bucket latency
-  histograms whose snapshots are picklable and merge by addition, so shard
-  and sweep worker processes ship telemetry deltas to their parent;
+* :mod:`.metrics` — the one process-local store of counters, gauges,
+  log-bucket latency histograms and span rollups; its snapshots are
+  picklable, merge by addition and subtract into per-scenario deltas, so
+  shard and sweep worker processes ship telemetry to their parent;
 * :mod:`.spans` — hierarchical ``with span("oracle.split")`` phase timers
   rolled up by call path (ncalls + wall-clock);
 * :mod:`.events` — structured JSON-lines event logging for the service;
@@ -32,9 +33,10 @@ from .metrics import (
     registry,
     reload_enabled,
     reset_telemetry,
+    snapshot_delta,
     telemetry_enabled,
 )
-from .spans import current_span_path, span, spans_delta, spans_snapshot
+from .spans import current_span_path, span, spans_snapshot
 
 __all__ = [
     "ENV_TOGGLE",
@@ -53,8 +55,8 @@ __all__ = [
     "reload_enabled",
     "render_prometheus",
     "reset_telemetry",
+    "snapshot_delta",
     "span",
-    "spans_delta",
     "spans_snapshot",
     "start_metrics_server",
     "telemetry_enabled",

@@ -1,11 +1,11 @@
 """Low-overhead process-local metrics: counters, gauges, latency histograms.
 
-The registry is the one telemetry sink every layer writes into — phase
-spans (:mod:`.spans`), service request timers, streaming drift/recovery
-counters — and its **snapshots are plain picklable dicts that merge by
-addition**, which is what lets shard worker processes and sweep
-``ProcessPool`` workers ship their telemetry to the parent exactly the way
-``shard_solver_stats`` ships eigensolver counters today.
+The registry is the one telemetry store every layer writes into — phase
+spans (:mod:`.spans`), eigensolver and solve-cache counts, service request
+timers, streaming counters — and its **snapshots are plain picklable dicts
+that merge by addition**: sweep workers ship per-scenario deltas
+(:func:`snapshot_delta`) and shard workers whole snapshots to the parent,
+which folds them with :func:`merge_snapshots`.
 
 Design constraints (in priority order):
 
@@ -19,7 +19,7 @@ Design constraints (in priority order):
    allocation on the hot path.
 3. **Mergeable.**  ``snapshot()`` / ``merge_snapshots()`` are associative:
    per-process totals from any number of workers sum into one service- or
-   sweep-level view.
+   sweep-level view, and ``snapshot_delta`` is the inverse of a merge.
 
 Metric keys are ``name`` plus optional labels, encoded canonically as
 ``name{k=v,...}`` (sorted by label key) so snapshots from different
@@ -44,6 +44,7 @@ __all__ = [
     "registry",
     "reset_telemetry",
     "merge_snapshots",
+    "snapshot_delta",
     "histogram_summary",
     "quantile_bounds",
     "HISTOGRAM_BASE",
@@ -216,19 +217,24 @@ class MetricsRegistry:
     # -- snapshots ----------------------------------------------------
     def snapshot(self) -> dict:
         """Picklable, mergeable view of everything accumulated so far."""
+        # iterate copies: the inline service snapshots on its worker thread
+        # while the event loop may add a key, and dict.copy() is atomic
         return {
-            "counters": {k: c.value for k, c in self._counters.items()},
-            "gauges": {k: g.value for k, g in self._gauges.items()},
+            "counters": {k: c.value for k, c in self._counters.copy().items()},
+            "gauges": {k: g.value for k, g in self._gauges.copy().items()},
             "histograms": {
                 k: {"counts": list(h.counts), "sum": h.sum, "count": h.count}
-                for k, h in self._histograms.items()
+                for k, h in self._histograms.copy().items()
             },
-            "spans": {k: {"calls": v[0], "seconds": v[1]} for k, v in self.spans.items()},
+            "spans": {k: {"calls": v[0], "seconds": v[1]} for k, v in self.spans.copy().items()},
         }
 
-    def spans_snapshot(self) -> dict:
-        """Just the span rollups (the cheap per-scenario delta currency)."""
-        return {k: (v[0], v[1]) for k, v in self.spans.items()}
+    def drop(self, *names: str) -> None:
+        """Remove every counter, gauge and histogram called one of ``names``,
+        whatever its labels; span rollups stay."""
+        for table in (self._counters, self._gauges, self._histograms):
+            for key in [key for key in table if split_metric_key(key)[0] in names]:
+                del table[key]
 
     def reset(self) -> None:
         self._counters.clear()
@@ -264,6 +270,31 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
             dst_s = out["spans"].setdefault(key, {"calls": 0, "seconds": 0.0})
             dst_s["calls"] += s.get("calls", 0)
             dst_s["seconds"] += s.get("seconds", 0.0)
+    return out
+
+
+def snapshot_delta(before: dict, after: dict) -> dict:
+    """What one registry gained between two of its snapshots: ``after``
+    minus ``before`` entry by entry, unchanged entries left out, so that
+    ``merge_snapshots([before, delta]) == after``.  The sweep engine takes
+    one per scenario and ships it on the result."""
+    out = _empty_snapshot()
+    for section in ("counters", "gauges"):
+        old = before[section]
+        out[section] = {k: v - old.get(k, 0) for k, v in after[section].items()
+                        if v != old.get(k, 0)}
+    for key, h in after["histograms"].items():
+        old = before["histograms"].get(key, {"counts": [0] * len(h["counts"]), "sum": 0.0,
+                                             "count": 0})
+        if h["count"] != old["count"]:
+            out["histograms"][key] = {"counts": [a - b for a, b in zip(h["counts"], old["counts"])],
+                                      "sum": h["sum"] - old["sum"],
+                                      "count": h["count"] - old["count"]}
+    for key, sp in after["spans"].items():
+        old = before["spans"].get(key, {"calls": 0, "seconds": 0.0})
+        if sp["calls"] != old["calls"]:
+            out["spans"][key] = {"calls": sp["calls"] - old["calls"],
+                                 "seconds": sp["seconds"] - old["seconds"]}
     return out
 
 

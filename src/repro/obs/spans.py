@@ -9,11 +9,13 @@ nested phases aggregate hierarchically::
             with span("oracle.split"):      # path:
                 ...                         #   scenario.algorithm/pipeline.prop7/oracle.split
 
-Rollups are ``path -> (ncalls, total wall seconds)``.  Because paths are
-the call tree of a bounded taxonomy (pipeline stages, oracle solves,
-kernel passes, stream steps), cardinality stays small while parent totals
-still reconcile with their children — and with the request wall-clock the
-service measures around the whole thing.
+Rollups are ``path -> (ncalls, total wall seconds)``, kept in the same
+registry as every counter, so one registry snapshot carries both and
+:func:`~repro.obs.metrics.snapshot_delta` cuts out one scenario's share.
+Because paths are the call tree of a bounded taxonomy (pipeline stages,
+oracle solves, kernel passes, stream steps), cardinality stays small while
+parent totals still reconcile with their children — and with the request
+wall-clock the service measures around the whole thing.
 
 The stack is thread-local: shard/sweep workers are single-threaded
 processes, the inline ``shards=0`` mode runs scenarios on one worker
@@ -32,7 +34,7 @@ from time import perf_counter
 
 from .metrics import registry, telemetry_enabled
 
-__all__ = ["span", "current_span_path", "spans_snapshot", "spans_delta"]
+__all__ = ["span", "current_span_path", "spans_snapshot"]
 
 
 class _SpanStack(threading.local):
@@ -90,21 +92,4 @@ def current_span_path() -> str:
 
 def spans_snapshot() -> dict:
     """Current span rollups as ``path -> (calls, seconds)`` (cheap copy)."""
-    return registry().spans_snapshot()
-
-
-def spans_delta(before: dict, after: dict) -> dict:
-    """Span rollups accumulated between two snapshots.
-
-    The per-scenario currency: the sweep engine snapshots around each
-    scenario and ships the delta back in the (volatile, timing-tier)
-    result, mirroring how eigensolver counter deltas travel today.
-    """
-    out = {}
-    for path, (calls, seconds) in after.items():
-        b = before.get(path)
-        dcalls = calls - (b[0] if b else 0)
-        dseconds = seconds - (b[1] if b else 0.0)
-        if dcalls > 0 or dseconds > 1e-12:
-            out[path] = {"calls": dcalls, "seconds": round(dseconds, 6)}
-    return out
+    return {k: (v[0], v[1]) for k, v in registry().spans.copy().items()}

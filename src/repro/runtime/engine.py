@@ -23,8 +23,7 @@ from contextlib import nullcontext
 
 from ..analysis import evaluate_coloring, theorem5_rhs
 from ..core.kernels import use_kernel
-from ..obs import span, spans_delta, spans_snapshot
-from ..separators.solve import counters_snapshot
+from ..obs import registry, snapshot_delta, span
 from .algorithms import resolved_kernel_name, resolved_oracle_name, run_algorithm
 from .instances import Instance, InstanceCache
 from .results import ScenarioResult
@@ -77,11 +76,6 @@ def _instance_stats(inst: Instance) -> dict:
     }
 
 
-def _solver_delta(before: dict, after: dict) -> dict:
-    """Eigensolver counter deltas for one scenario (volatile, timing-tier)."""
-    return {k: int(after[k]) - int(before.get(k, 0)) for k in after}
-
-
 def _kernel_context(scenario: Scenario):
     """Scoped default-kernel switch for scenarios carrying a ``kernel`` param.
 
@@ -98,12 +92,12 @@ def _kernel_context(scenario: Scenario):
 def run_scenario(scenario: Scenario, cache: InstanceCache | None = None) -> ScenarioResult:
     """Build the instance, run the algorithm, evaluate, and time one cell.
 
-    Telemetry: each phase runs inside a ``scenario.*`` span, and the span
-    rollups accumulated for this scenario alone travel back on the result
-    as a volatile delta (mirroring the eigensolver counter deltas) — the
-    mergeable unit sweep workers ship to the parent.
+    Telemetry: each phase runs inside a ``scenario.*`` span, and what the
+    obs registry gained during this scenario alone — span rollups, solver
+    counts, kernel passes — travels back on the result as one volatile
+    snapshot delta, the mergeable unit sweep workers ship to the parent.
     """
-    spans_before = spans_snapshot()
+    before = registry().snapshot()
     with span("scenario.instance"):
         if cache is not None:
             inst = cache.get(scenario)
@@ -111,32 +105,32 @@ def run_scenario(scenario: Scenario, cache: InstanceCache | None = None) -> Scen
             from .instances import build_instance
 
             inst = build_instance(scenario)
-    counters_before = counters_snapshot()
-    if scenario.algorithm == "stream":
-        # streaming scenarios replay a mutation trace: metrics must be
-        # evaluated on the *final mutated* graph, which only the stream
-        # session knows — so they bypass the static evaluate path
+    # streaming scenarios replay a mutation trace: metrics must be evaluated
+    # on the *final mutated* graph, which only the stream session knows — so
+    # they bypass the static evaluate path
+    stream = scenario.algorithm == "stream"
+    if stream:
         from ..stream import run_stream_scenario
-
-        t0 = time.perf_counter()
-        with _kernel_context(scenario), span("scenario.algorithm"):
-            metrics = run_stream_scenario(inst, scenario)
-        wall = time.perf_counter() - t0
-        kernel_name = resolved_kernel_name(scenario)
-        if kernel_name is not None:
-            metrics["kernel"] = kernel_name
-        return ScenarioResult(
-            scenario=scenario,
-            instance=_instance_stats(inst),
-            metrics=metrics,
-            wall_clock_s=wall,
-            solver_stats=_solver_delta(counters_before, counters_snapshot()),
-            span_stats=spans_delta(spans_before, spans_snapshot()),
-        )
     t0 = time.perf_counter()
     with _kernel_context(scenario), span("scenario.algorithm"):
-        coloring = run_algorithm(inst, scenario)
+        out = run_stream_scenario(inst, scenario) if stream else run_algorithm(inst, scenario)
     wall = time.perf_counter() - t0
+    metrics = out if stream else _evaluate(inst, scenario, out)
+    kernel_name = resolved_kernel_name(scenario)
+    if kernel_name is not None:
+        # fixed before the run starts (param or process default)
+        metrics["kernel"] = kernel_name
+    return ScenarioResult(
+        scenario=scenario,
+        instance=_instance_stats(inst),
+        metrics=metrics,
+        wall_clock_s=wall,
+        telemetry=snapshot_delta(before, registry().snapshot()),
+    )
+
+
+def _evaluate(inst: Instance, scenario: Scenario, coloring) -> dict:
+    """The static cell's deterministic metrics."""
     g = inst.graph
     with span("scenario.evaluate"):
         m = evaluate_coloring(g, coloring, inst.weights)
@@ -152,20 +146,9 @@ def run_scenario(scenario: Scenario, cache: InstanceCache | None = None) -> Scen
     oracle_name = resolved_oracle_name(scenario)
     if oracle_name is not None:
         # the resolved registry name is a pure function of the scenario, so
-        # it belongs in the deterministic record (unlike the solver counters)
+        # it belongs in the deterministic record (unlike the solver counts)
         metrics["oracle"] = oracle_name
-    kernel_name = resolved_kernel_name(scenario)
-    if kernel_name is not None:
-        # likewise fixed before the run starts (param or process default)
-        metrics["kernel"] = kernel_name
-    return ScenarioResult(
-        scenario=scenario,
-        instance=_instance_stats(inst),
-        metrics=metrics,
-        wall_clock_s=wall,
-        solver_stats=_solver_delta(counters_before, counters_snapshot()),
-        span_stats=spans_delta(spans_before, spans_snapshot()),
-    )
+    return metrics
 
 
 def run_sweep(

@@ -15,9 +15,12 @@ Schema (version 1)::
                       strictly_balanced, bound_ratio_thm5}
         }, ...
       ],
-      "timing": {"<scenario_id>": wall_clock_s, ...},    # only with timing=True
-      "solver": {"<scenario_id>": {solves, dense, iterative, fallbacks}, ...}  # ditto
+      "timing": {"<scenario_id>": wall_clock_s, ...},  # only with timing=True
+      "telemetry": {"<scenario_id>": {counters, gauges, histograms, spans}, ...}  # ditto
     }
+
+``telemetry`` holds each scenario's obs-registry delta
+(:func:`repro.obs.snapshot_delta`): solver counts, kernel passes, spans.
 
 ``results`` is fully deterministic for a fixed scenario grid — identical for
 any worker count — which is why wall-clock lives in a separate ``timing``
@@ -71,14 +74,12 @@ class ScenarioResult:
     instance: dict
     metrics: dict
     wall_clock_s: float = 0.0
-    #: eigensolver counter deltas (solves/dense/iterative/fallbacks) for this scenario.
-    #: Volatile like wall-clock — process-cache state leaks across scenarios —
-    #: so it ships only in the opt-in ``timing``-tier ``solver`` block.
-    solver_stats: dict | None = None
-    #: phase-span rollup deltas (``path -> {calls, seconds}``) for this
-    #: scenario — volatile wall-clock, so timing-tier only (the ``spans``
-    #: block).  Picklable: this is how sweep workers ship span telemetry.
-    span_stats: dict | None = None
+    #: what the obs registry gained during this scenario (a snapshot delta:
+    #: solver counts, kernel passes, span rollups).  Volatile like
+    #: wall-clock — solve-cache state leaks across scenarios — so it ships
+    #: only in the opt-in ``timing``-tier ``telemetry`` block.  Picklable:
+    #: this is how sweep workers ship their telemetry.
+    telemetry: dict | None = None
 
     @property
     def scenario_id(self) -> str:
@@ -100,12 +101,7 @@ def results_to_dict(results: list[ScenarioResult], grid=None, timing: bool = Fal
     doc["results"] = [r.record() for r in results]
     if timing:
         doc["timing"] = {r.scenario_id: round(r.wall_clock_s, 6) for r in results}
-        solver = {r.scenario_id: r.solver_stats for r in results if r.solver_stats}
-        if solver:
-            doc["solver"] = solver
-        spans = {r.scenario_id: r.span_stats for r in results if r.span_stats}
-        if spans:
-            doc["spans"] = spans
+        doc["telemetry"] = {r.scenario_id: r.telemetry for r in results if r.telemetry}
     return doc
 
 
@@ -113,8 +109,7 @@ def results_from_dict(doc: dict) -> list[ScenarioResult]:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     timing = doc.get("timing", {})
-    solver = doc.get("solver", {})
-    spans = doc.get("spans", {})
+    telemetry = doc.get("telemetry", {})
     out = []
     for rec in doc["results"]:
         spec = dict(rec["scenario"])
@@ -128,8 +123,7 @@ def results_from_dict(doc: dict) -> list[ScenarioResult]:
                 instance=dict(rec["instance"]),
                 metrics=dict(rec["metrics"]),
                 wall_clock_s=float(timing.get(rec["scenario_id"], 0.0)),
-                solver_stats=solver.get(rec["scenario_id"]),
-                span_stats=spans.get(rec["scenario_id"]),
+                telemetry=telemetry.get(rec["scenario_id"]),
             )
         )
     return out

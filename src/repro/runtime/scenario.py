@@ -56,6 +56,10 @@ class Scenario:
     params: tuple = ()
 
     def __post_init__(self):
+        # rejected here, the one place every sweep cell, service request
+        # and stream session is built, so bad input never reaches a batch
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         # normalize unconditionally (dict, iterable of pairs, unsorted tuple)
         # so logically equal params always hash to the same scenario id
         object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))

@@ -20,7 +20,8 @@ import numpy as np
 from .._util import as_rng, cumulative_prefix_target
 from ..graphs.components import bfs_order, connected_components, pseudo_peripheral_vertex
 from ..graphs.graph import Graph
-from .solve import COUNTERS, process_cache
+from ..obs import events, registry
+from .solve import process_cache
 
 __all__ = [
     "index_order",
@@ -117,7 +118,8 @@ def _component_fiedler(g: Graph, tol: float) -> np.ndarray:
     default unsymmetric ordering) and ``eigsh`` applies that factor instead
     of building its own.  A solver failure falls back to BFS levels from a
     pseudo-peripheral vertex, reported as an ``oracle.fallback`` event and
-    an ``oracle_fallbacks{reason=...}`` counter.
+    an ``oracle_fallbacks{reason=...}`` counter.  Each solve counts once as
+    ``fiedler_solves{path=dense|iterative}``, telemetry on or off.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -125,7 +127,6 @@ def _component_fiedler(g: Graph, tol: float) -> np.ndarray:
     n = g.n
     if n <= 2:
         return np.arange(n, dtype=np.float64)
-    COUNTERS["solves"] += 1
     # S in CSC straight from the graph's CSR (the Laplacian is symmetric, so
     # rows and columns coincide), a diagonal slot at the head of each column
     indptr = g.indptr
@@ -146,16 +147,15 @@ def _component_fiedler(g: Graph, tol: float) -> np.ndarray:
     ramp = RAMP_DELTA * scale * (np.arange(n, dtype=np.float64) / (n - 1))
     sigma = -1e-4 * scale
     dense = n < DENSE_CUTOFF
+    registry().counter("fiedler_solves", path="dense" if dense else "iterative").inc()
     np.negative(lap.data, out=lap.data)
     lap.data[on_diag] = deg + ramp if dense else (deg + ramp) - sigma
     lap.eliminate_zeros()
     if dense:
-        COUNTERS["dense"] += 1
         _, eigvecs = np.linalg.eigh(lap.toarray())
         return _canonical_sign(eigvecs[:, 1])
     v0 = np.cos(np.arange(n, dtype=np.float64))
     try:
-        COUNTERS["iterative"] += 1
         lu = spla.splu(
             lap, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -170,12 +170,9 @@ def _component_fiedler(g: Graph, tol: float) -> np.ndarray:
         return _canonical_sign(eigvecs[:, order[1]])
     except Exception as exc:
         from ..graphs.components import bfs_levels
-        from ..obs import events, registry, telemetry_enabled
 
-        COUNTERS["fallbacks"] += 1
         reason = type(exc).__name__
-        if telemetry_enabled():
-            registry().counter("oracle_fallbacks", reason=reason).inc()
+        registry().counter("oracle_fallbacks", reason=reason).inc()
         events.emit("oracle.fallback", reason=reason, n=n)
         lev = bfs_levels(g, [pseudo_peripheral_vertex(g)])
         return lev.astype(np.float64)

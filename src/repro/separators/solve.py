@@ -7,6 +7,10 @@ costs, so every ``k``/weight/algorithm combination on an instance shares its
 spectral orders).  :class:`SolveCache` is the process-local memo
 ``structural_hash -> Fiedler vector`` that exploits both.
 
+The solver's counts (solves by path, fallbacks, cache accounting) live in
+the obs registry, so they travel in its snapshots and deltas;
+:func:`solver_stats` is the one view that reads them back.
+
 Every eigensolve starts from one fixed vector
 (:func:`repro.separators.orders.fiedler_vector`), so a Fiedler vector is a
 function of its graph alone: a hit replaces a bitwise-identical
@@ -25,7 +29,8 @@ import os
 import numpy as np
 
 from .._util import BoundedLru
-from ..obs import span
+from ..obs import metric_key, registry, span
+from ..obs.metrics import split_metric_key
 
 __all__ = [
     "SolveCache",
@@ -34,7 +39,6 @@ __all__ = [
     "process_cache",
     "reset_solver_state",
     "solver_stats",
-    "COUNTERS",
 ]
 
 #: env knobs — read at first use, so a parent process (``repro serve``,
@@ -43,10 +47,10 @@ ENV_TOGGLE = "REPRO_ORACLE_CACHE"
 ENV_SIZE = "REPRO_ORACLE_CACHE_SIZE"
 DEFAULT_CACHE_SIZE = 256
 
-#: process-wide solver counters (volatile diagnostics — surfaced through the
-#: ``stats`` wire op and the opt-in timing block, never in deterministic
-#: result records)
-COUNTERS = {"solves": 0, "dense": 0, "iterative": 0, "fallbacks": 0}
+#: the solver's entries in the obs registry, counted with telemetry on or
+#: off (volatile diagnostics, never in a deterministic record)
+SOLVER_METRICS = ("fiedler_solves", "oracle_fallbacks", "oracle_cache_hits", "oracle_cache_misses",
+                  "oracle_cache_evictions", "oracle_cache_entries", "oracle_cache_maxsize")
 
 
 def cache_enabled() -> bool:
@@ -57,52 +61,35 @@ def cache_enabled() -> bool:
 class SolveCache:
     """Bounded LRU ``structural_hash -> Fiedler vector``.
 
-    Same eviction discipline as the service's :class:`ColoringCache`
-    (both delegate to :class:`repro._util.BoundedLru`); hit/miss/eviction
-    counters follow the same ``stats()`` shape so the service can report
-    the oracle tier next to the record tier.
+    Same eviction discipline as the service's :class:`ColoringCache` (both
+    delegate to :class:`repro._util.BoundedLru`); its accounting lives in
+    the obs registry (:data:`SOLVER_METRICS`), where shard snapshots carry
+    it to the service.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE):
-        self.hits = 0
-        self.misses = 0
         self._entries = BoundedLru(maxsize=int(maxsize))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    @property
-    def maxsize(self) -> int:
-        return self._entries.maxsize
-
-    @property
-    def evictions(self) -> int:
-        return self._entries.evictions
-
     def get(self, key: str) -> np.ndarray | None:
         vec = self._entries.get(key)
-        if vec is None:
-            self.misses += 1
-            return None
-        self.hits += 1
+        registry().counter("oracle_cache_misses" if vec is None else "oracle_cache_hits").inc()
         return vec
 
     def put(self, key: str, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64)
         vec.setflags(write=False)
+        evictions = self._entries.evictions
         self._entries.put(key, vec)
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
+        # size and bound are published by a store, so a cache that never
+        # stores (``repro serve`` checking its size) adds nothing to the
+        # service's merged view
+        reg = registry()
+        reg.counter("oracle_cache_evictions").inc(self._entries.evictions - evictions)
+        reg.gauge("oracle_cache_entries").set(len(self._entries))
+        reg.gauge("oracle_cache_maxsize").set(self._entries.maxsize)
 
 
 _PROCESS_CACHE: SolveCache | None = None
@@ -127,24 +114,39 @@ def process_cache() -> SolveCache | None:
 
 
 def reset_solver_state() -> None:
-    """Drop the process cache and zero the counters (tests, ablations)."""
+    """Drop the process cache and the solver's registry entries (tests,
+    ablations, benchmark rounds); span rollups and other counters stay."""
     global _PROCESS_CACHE
     _PROCESS_CACHE = None
-    for key in COUNTERS:
-        COUNTERS[key] = 0
+    registry().drop(*SOLVER_METRICS)
 
 
-def counters_snapshot() -> dict:
-    return dict(COUNTERS)
-
-
-def solver_stats() -> dict:
-    """One process's solver-side stats: counters plus cache accounting."""
-    cache = _PROCESS_CACHE
+def solver_stats(snapshot: dict | None = None) -> dict:
+    """``{"enabled", "counters": {solves, dense, iterative, fallbacks},
+    "cache": {entries, maxsize, hits, misses, evictions} | None}`` read from
+    a registry snapshot: this process's by default, or a merged one (the
+    service's ``stats`` op).  ``cache`` is ``None`` until a cache stores.
+    """
+    snap = registry().snapshot() if snapshot is None else snapshot
+    counters, gauges = snap["counters"], snap["gauges"]
+    dense = counters.get(metric_key("fiedler_solves", {"path": "dense"}), 0)
+    iterative = counters.get(metric_key("fiedler_solves", {"path": "iterative"}), 0)
+    fallbacks = sum(value for key, value in counters.items()
+                    if split_metric_key(key)[0] == "oracle_fallbacks")
+    cache = None
+    if "oracle_cache_maxsize" in gauges:
+        cache = {
+            "entries": gauges.get("oracle_cache_entries", 0),
+            "maxsize": gauges["oracle_cache_maxsize"],
+            "hits": counters.get("oracle_cache_hits", 0),
+            "misses": counters.get("oracle_cache_misses", 0),
+            "evictions": counters.get("oracle_cache_evictions", 0),
+        }
     return {
         "enabled": cache_enabled(),
-        "counters": dict(COUNTERS),
-        "cache": cache.stats() if cache is not None else None,
+        "counters": {"solves": dense + iterative, "dense": dense,
+                     "iterative": iterative, "fallbacks": fallbacks},
+        "cache": cache,
     }
 
 

@@ -161,7 +161,9 @@ class HashRing:
         self.endpoints = list(endpoints)
         if not self.endpoints:
             raise ValueError("ring needs at least one endpoint")
-        self.replicas = max(1, int(replicas))
+        if replicas < 1:
+            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        self.replicas = int(replicas)
         points = []
         for endpoint in self.endpoints:
             for replica in range(self.replicas):
@@ -284,6 +286,15 @@ class RingRouter:
         slow_request_s: float | None = None,
         propagate_shutdown: bool = True,
     ):
+        # a timeout of 0 fails every hop, which marks every healthy host down
+        for name, value in (("connect_timeout", connect_timeout),
+                            ("request_timeout", request_timeout)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if backoff_base_s < 0:
+            raise ValueError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
         self.endpoints = parse_endpoints(endpoints)
         self.ring = HashRing(self.endpoints, replicas=replicas)
         self.journal_root = (
@@ -304,8 +315,8 @@ class RingRouter:
             )
             for endpoint in self.endpoints
         }
-        self.retries = max(0, int(retries))
-        self.backoff_base_s = max(0.0, float(backoff_base_s))
+        self.retries = int(retries)
+        self.backoff_base_s = float(backoff_base_s)
         self.backoff_cap_s = max(self.backoff_base_s, float(backoff_cap_s))
         self.slow_request_s = slow_request_s
         self.propagate_shutdown = bool(propagate_shutdown)

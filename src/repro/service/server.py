@@ -36,6 +36,7 @@ from ..obs import (
     start_metrics_server,
     telemetry_enabled,
 )
+from ..separators import solver_stats
 from .batcher import MicroBatcher
 from .cache import ColoringCache
 from .protocol import (
@@ -592,25 +593,26 @@ class DecompositionService:
                             idle_s=round(fresh - entry["last_used"], 3))
 
     async def stats_async(self) -> dict:
-        """The ``stats`` wire-op payload: :meth:`stats` plus the oracle
-        cache tier (per-shard eigensolver counters, asked on the workers)
-        and — when telemetry is on — the merged registry snapshot with
-        per-op latency histograms and pipeline span rollups."""
+        """The ``stats`` wire-op payload: :meth:`stats`, the oracle cache
+        tier (:func:`~repro.separators.solver_stats` over the merged registry
+        snapshot, so every shard is asked once) and — when telemetry is on —
+        that snapshot, with per-op latency histograms and span rollups."""
         doc = self.stats()
-        doc["oracle_cache"] = await self.pool.solver_stats()
+        merged = await self.telemetry_snapshot()
+        doc["oracle_cache"] = solver_stats(merged)
         if telemetry_enabled():
-            doc["telemetry"] = await self.telemetry_snapshot()
+            doc["telemetry"] = merged
         return doc
 
     async def telemetry_snapshot(self) -> dict:
         """Merged telemetry: the front-end registry plus every shard worker.
 
         Request histograms live in the front-end (timed around the whole
-        handler); span rollups and stream counters live in the workers that
-        ran them — ``merge_snapshots`` sums both into one service-level
-        view.  Service counters the ``stats`` op reports are mirrored in as
-        gauges so a single ``/metrics`` scrape carries the whole
-        operational picture.
+        handler); span rollups, solver counts and stream counters live in
+        the workers that ran them — ``merge_snapshots`` sums both into one
+        service-level view.  Service counters the ``stats`` op reports are
+        mirrored in as gauges so a single ``/metrics`` scrape carries the
+        whole operational picture.
         """
         snaps = [obs_registry().snapshot()]
         snaps.extend(await self.pool.metrics_snapshots())
@@ -738,15 +740,6 @@ def timed_request_handler(dispatch, get_slow_request_s=None):
         return resp
 
     return handle
-
-
-async def _handle_request(service: DecompositionService, req: dict, stop: asyncio.Event) -> dict:
-    """One-shot form of :func:`timed_request_handler` over ``_dispatch``."""
-    handler = timed_request_handler(
-        lambda r, s: _dispatch(service, r, s),
-        get_slow_request_s=lambda: service.slow_request_s,
-    )
-    return await handler(req, stop)
 
 
 async def run_line_server(

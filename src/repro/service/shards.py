@@ -10,6 +10,10 @@ same graph+weights lands on the same shard and hits that process's warm
 Routing never affects results: each record is a pure function of its
 scenario (see :mod:`repro.runtime.engine`), so any shard count — including
 the inline ``shards=0`` debug mode — produces byte-identical records.
+
+Telemetry leaves a shard one way: :func:`shard_metrics` ships the worker's
+whole registry snapshot — span rollups, eigensolver and solve-cache
+counts — and the front-end merges them (:meth:`ShardPool.metrics_snapshots`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from ..obs import events, registry, telemetry_enabled
 from ..runtime import InstanceCache, Scenario
 from ..runtime.engine import run_scenario, worker_init, worker_run_record
 
-__all__ = ["ShardPool", "shard_run", "shard_solver_stats", "shard_metrics"]
+__all__ = ["ShardPool", "shard_run", "shard_metrics"]
 
 #: distinguishes pools within one process — the inline (``shards=0``) mode
 #: shares the worker-side session registry with every other inline pool in
@@ -53,26 +57,14 @@ def shard_run(scenarios: list[Scenario], run=None) -> list[dict]:
     return out
 
 
-def shard_solver_stats() -> dict:
-    """Executed inside a shard process: its eigensolver cache/counter stats.
-
-    The oracle cache tier *is* the per-worker
-    :class:`~repro.separators.solve.SolveCache` — instance-hash routing keeps
-    repeats on the shard whose cache is already warm — so service-level
-    observability means asking each worker for its process-local stats.
-    """
-    from ..separators.solve import solver_stats
-
-    return solver_stats()
-
-
 def shard_metrics() -> dict:
     """Executed inside a shard process: its telemetry registry snapshot.
 
     The snapshot is a plain picklable dict that merges by addition
     (:func:`repro.obs.merge_snapshots`), so the front-end sums every
-    worker's view with its own — the same shipping pattern as
-    :func:`shard_solver_stats`.
+    worker's view with its own.  The worker's solve cache keeps its
+    accounting there too, so the ``stats`` op's oracle-cache tier is read
+    from the same merged snapshot.
     """
     return registry().snapshot()
 
@@ -91,32 +83,6 @@ def _timed_call(op: str):
     finally:
         if telemetry_enabled():
             registry().histogram("shard_call_seconds", op=op).observe(perf_counter() - t0)
-
-
-def _aggregate_solver_stats(per_shard: list[dict]) -> dict:
-    """Sum per-shard counter/cache stats into one service-level view."""
-    counters: dict = {}
-    cache: dict = {}
-    have_cache = False
-    enabled = False
-    for stats in per_shard:
-        if "error" in stats:
-            continue
-        enabled = enabled or bool(stats.get("enabled"))
-        for k, v in stats.get("counters", {}).items():
-            counters[k] = counters.get(k, 0) + int(v)
-        c = stats.get("cache")
-        if c:
-            have_cache = True
-            for k, v in c.items():
-                if isinstance(v, (int, float)):
-                    cache[k] = cache.get(k, 0) + int(v)
-    return {
-        "enabled": enabled,
-        "counters": counters,
-        "cache": cache if have_cache else None,
-        "per_shard": per_shard,
-    }
 
 
 class ShardPool:
@@ -247,31 +213,6 @@ class ShardPool:
         except Exception:
             pass  # the pool is already broken; releasing it is best-effort
         self._executors[shard] = self._spawn_executor()
-
-    async def solver_stats(self) -> dict:
-        """Aggregate per-shard eigensolver/oracle-cache stats.
-
-        The inline (``shards=0``) mode shares this process's counters, so it
-        is answered directly; process shards are each asked on their worker.
-        A shard that cannot answer (worker mid-respawn) contributes an
-        ``error`` entry instead of failing the whole stats request.
-        """
-        if self.shards == 0:
-            per_shard = [shard_solver_stats()]
-        else:
-            loop = asyncio.get_running_loop()
-            results = await asyncio.gather(
-                *(
-                    loop.run_in_executor(ex, shard_solver_stats)
-                    for ex in self._executors
-                ),
-                return_exceptions=True,
-            )
-            per_shard = [
-                r if isinstance(r, dict) else {"error": f"{type(r).__name__}: {r}"}
-                for r in results
-            ]
-        return _aggregate_solver_stats(per_shard)
 
     async def metrics_snapshots(self) -> list[dict]:
         """Per-shard telemetry snapshots, ready for ``merge_snapshots``.

@@ -166,55 +166,6 @@ class BoundaryGainTable:
         self.toward = toward
         self.count = count
 
-    def grow(self, new_g: Graph, labels: np.ndarray) -> None:
-        """Rebind to a grown graph without rebuilding the table.
-
-        ``new_g`` must extend the bound graph: every old edge survives with
-        its cost, the index space may have grown, and fresh edges (attach
-        edges of arrived vertices, re-added detach survivors) may exist.
-        Both graphs must carry edges in canonical sorted order (the
-        :meth:`GraphState.graph` materialization invariant) — fresh-edge
-        detection is a sorted-key diff.  New rows are zero-padded and only
-        the fresh edges are folded in — O(new vertices × k + new edges)
-        beyond one vectorized order check.  The result is exactly the table
-        a from-scratch build on ``new_g`` would produce (asserted by the
-        growth differential tests).
-        """
-        old = self.g
-        extra = new_g.n - old.n
-        if extra < 0:
-            raise ValueError("BoundaryGainTable.grow cannot shrink the index space")
-        if old.m > 1:
-            shift = np.int64(32)
-            ok = (old.edges[:, 0] << shift) | old.edges[:, 1]
-            if not bool(np.all(ok[:-1] < ok[1:])):
-                raise ValueError("grow requires edges in canonical sorted order")
-        if extra:
-            self.toward = np.vstack(
-                [self.toward, np.zeros((extra, self.k), dtype=np.float64)]
-            )
-            self.count = np.vstack(
-                [self.count, np.zeros((extra, self.k), dtype=np.int64)]
-            )
-        if new_g.m > old.m:
-            shift = np.int64(32)
-            new_keys = (new_g.edges[:, 0] << shift) | new_g.edges[:, 1]
-            if old.m:
-                old_keys = (old.edges[:, 0] << shift) | old.edges[:, 1]
-                pos = np.clip(np.searchsorted(old_keys, new_keys), 0, old.m - 1)
-                fresh = np.flatnonzero(old_keys[pos] != new_keys)
-            else:
-                fresh = np.arange(new_g.m, dtype=np.int64)
-            fu = new_g.edges[fresh, 0]
-            fv = new_g.edges[fresh, 1]
-            fc = new_g.costs[fresh]
-            for a, b in ((fu, fv), (fv, fu)):
-                lab = labels[b]
-                sel = lab >= 0
-                np.add.at(self.toward, (a[sel], lab[sel]), fc[sel])
-                np.add.at(self.count, (a[sel], lab[sel]), 1)
-        self.g = new_g
-
     def apply_move(self, v: int, src_cls: int, dst_cls: int) -> None:
         """Fold ``v``'s move ``src_cls → dst_cls`` into its neighbors' rows."""
         g = self.g

@@ -5,8 +5,8 @@ The contract under test: a :class:`GraphState` grown through any sequence of
 identical* — same structural hash, same CSR arrays, same weights — to a
 :class:`Graph` built from scratch from the final edge set over the final
 index space.  Property-tested over seeded random mutation programs, plus
-directed cases for the incremental CSR patcher, the gain-table growth
-hook, and the repair-path seeding of arrived vertices.
+directed cases for the incremental CSR patcher and the repair-path seeding
+of arrived vertices.
 """
 
 import hashlib
@@ -29,7 +29,6 @@ from repro.stream import (
     replay,
     seed_new_vertices,
 )
-from repro.stream.repair import BoundaryGainTable
 from repro.stream.traces import make_trace
 from repro.runtime import Scenario, build_instance
 
@@ -246,34 +245,6 @@ def test_patch_graph_rejects_unknown_edges_and_unsorted_base():
     raw = grid_graph(4, 4)
     with pytest.raises(ValueError):
         patch_graph(raw, raw.n, removed=[(0, 1)])
-
-
-# ----------------------------------------------------------------------
-# BoundaryGainTable.grow
-
-
-def test_boundary_gain_table_grow_matches_fresh_build():
-    state0 = GraphState.from_graph(grid_graph(6, 6), np.ones(36))
-    g = state0.graph()  # canonical sorted-edge materialization
-    k = 4
-    rng = np.random.default_rng(1)
-    labels = rng.integers(0, k, size=g.n).astype(np.int64)
-    table = BoundaryGainTable(g, labels, k)
-    # grow: two fresh vertices (one uncolored), three fresh edges
-    state = GraphState.from_graph(g, np.ones(g.n))
-    state.apply([
-        Mutation.add_vertex(g.n), Mutation.add_vertex(g.n + 1),
-        Mutation.add(0, g.n, 2.0), Mutation.add(g.n, g.n + 1, 1.0),
-        Mutation.add(7, 14, 3.0),
-    ])
-    new_g = state.graph()
-    labels = np.append(labels, [0, -1]).astype(np.int64)
-    table.grow(new_g, labels)
-    fresh = BoundaryGainTable(new_g, labels, k)
-    np.testing.assert_array_equal(table.toward, fresh.toward)
-    np.testing.assert_array_equal(table.count, fresh.count)
-    with pytest.raises(ValueError):
-        table.grow(g, labels)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ The load-bearing contracts:
 import asyncio
 import io
 import json
-import math
 import re
 
 import pytest
@@ -28,16 +27,14 @@ from repro.obs import (
     registry,
     render_prometheus,
     reset_telemetry,
+    snapshot_delta,
     span,
-    spans_delta,
     spans_snapshot,
     start_metrics_server,
 )
 from repro.obs.metrics import (
     HISTOGRAM_BASE,
     HISTOGRAM_BUCKETS,
-    HISTOGRAM_FACTOR,
-    bucket_bounds,
     split_metric_key,
 )
 from repro.runtime import Scenario, run_sweep
@@ -124,6 +121,34 @@ class TestMetricsRegistry:
         assert left["histograms"]["h"]["count"] == 3
         assert left["spans"]["a/b"] == {"calls": 3, "seconds": pytest.approx(1.5)}
 
+    def test_snapshot_delta_inverts_merge(self):
+        reg = registry()
+        reg.counter("c").inc(2)
+        reg.counter("still").inc(5)
+        reg.gauge("g").set(3)
+        reg.histogram("h").observe(0.0625)
+        reg.record_span("a", 0.5)
+        before = reg.snapshot()
+        reg.counter("c").inc(3)
+        reg.counter("new", path="x").inc()
+        reg.gauge("g").set(1)
+        reg.histogram("h").observe(0.25)
+        reg.histogram("fresh").observe(0.125)
+        reg.record_span("a", 0.25)
+        reg.record_span("a/b", 0.125)
+        after = reg.snapshot()
+        delta = snapshot_delta(before, after)
+        # only what changed, as a difference; unchanged entries are left out
+        assert delta["counters"] == {"c": 3, "new{path=x}": 1}
+        assert delta["gauges"] == {"g": -2}
+        assert delta["histograms"]["h"]["count"] == 1
+        assert delta["histograms"]["h"]["sum"] == 0.25
+        assert delta["histograms"]["fresh"] == after["histograms"]["fresh"]
+        assert delta["spans"] == {"a": {"calls": 1, "seconds": 0.25},
+                                  "a/b": {"calls": 1, "seconds": 0.125}}
+        # a delta is a snapshot: merged onto ``before`` it gives ``after``
+        assert merge_snapshots([before, delta]) == after
+
     def test_quantile_bounds_and_summary(self):
         h = registry().histogram("q")
         for _ in range(99):
@@ -183,12 +208,12 @@ class TestSpans:
     def test_spans_delta(self):
         with span("a"):
             pass
-        before = spans_snapshot()
+        before = registry().snapshot()
         with span("a"):
             pass
         with span("b"):
             pass
-        delta = spans_delta(before, spans_snapshot())
+        delta = snapshot_delta(before, registry().snapshot())["spans"]
         assert delta["a"]["calls"] == 1
         assert delta["b"]["calls"] == 1
 
@@ -300,7 +325,7 @@ class TestPrometheusExposition:
 class TestScenarioSpans:
     def test_span_stats_reconcile_with_wall_clock(self):
         r = run_scenario(Scenario(family="grid", size=8, k=2))
-        spans = r.span_stats
+        spans = r.telemetry["spans"]
         assert spans["scenario.algorithm"]["calls"] == 1
         # the algorithm span is measured inside the wall-clock window
         assert 0 < spans["scenario.algorithm"]["seconds"] <= r.wall_clock_s + 1e-6
@@ -323,17 +348,17 @@ class TestScenarioSpans:
         reset_telemetry()
         off = [run_scenario(s).record() for s in scenarios]
         assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
-        assert all(not run_scenario(s).span_stats for s in scenarios)
+        assert all(not run_scenario(s).telemetry["spans"] for s in scenarios)
 
     def test_sweep_workers_ship_span_deltas(self):
-        # workers=2 crosses the process boundary: span deltas must pickle
-        # and come back per scenario exactly like solver counter deltas
+        # workers=2 crosses the process boundary: telemetry deltas must
+        # pickle and come back per scenario
         scenarios = [Scenario(family="grid", size=8, k=2),
                      Scenario(family="grid", size=8, k=4),
                      Scenario(family="mesh", size=8, k=2)]
         results = run_sweep(scenarios, workers=2)
         for r in results:
-            assert r.span_stats["scenario.algorithm"]["calls"] == 1
+            assert r.telemetry["spans"]["scenario.algorithm"]["calls"] == 1
 
 
 class TestServiceTelemetry:
@@ -447,6 +472,64 @@ class TestServiceTelemetry:
         assert slow and slow[0]["op"] == "decompose"
         assert slow[0]["trace"] == "slow-1"
         assert slow[0]["ms"] >= 0
+
+    def test_oracle_cache_tier_is_a_view_of_the_merged_snapshot(self, monkeypatch):
+        from repro.cli import _oracle_cache_env
+        from repro.separators import reset_solver_state, solver_stats
+        from repro.service.protocol import scenario_from_spec
+
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", "256")
+        reset_solver_state()
+        # repro serve's front-end size check publishes no cache of its own
+        _oracle_cache_env("serve", False, 5)
+        assert solver_stats()["cache"] is None
+
+        async def run():
+            service = DecompositionService(shards=2)
+            used = {service.pool.shard_for(scenario_from_spec(spec)) for spec in self.SPECS}
+            task, host, port, _ = await start_server(service)
+            client = await ServiceClient.connect(host, port)
+            for spec in self.SPECS:
+                await client.decompose(spec)
+            stats = (await client.stats())["stats"]
+            await client.shutdown()
+            await client.close()
+            await asyncio.wait_for(task, 30)
+            return used, stats
+
+        used, stats = asyncio.run(run())
+        assert used == {0, 1}
+        oracle = stats["oracle_cache"]
+        assert oracle == solver_stats(stats["telemetry"])
+        assert oracle["cache"]["maxsize"] == 2 * 5
+        assert oracle["counters"]["solves"] > 0
+        assert oracle["cache"]["misses"] == oracle["cache"]["entries"] > 0
+        assert "per_shard" not in oracle
+        assert "repro_fiedler_solves_total" in render_prometheus(stats["telemetry"])
+
+    def test_oracle_cache_tier_counts_with_telemetry_off(self, monkeypatch):
+        from repro.separators import reset_solver_state
+        from repro.service.protocol import scenario_from_spec
+
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        reset_telemetry()
+        reset_solver_state()
+
+        async def run():
+            service = DecompositionService(shards=0)
+            try:
+                for spec in self.SPECS:
+                    await service.submit(scenario_from_spec(spec))
+                return await service.stats_async()
+            finally:
+                await service.close()
+
+        stats = asyncio.run(run())
+        assert "telemetry" not in stats
+        assert stats["oracle_cache"]["counters"]["solves"] > 0
+        assert stats["oracle_cache"]["cache"]["misses"] > 0
 
     def test_stats_telemetry_omitted_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
@@ -569,9 +652,26 @@ class TestSweepSpansBlock:
         write_results(path, results, timing=True)
         doc = json.loads(path.read_text())
         sid = results[0].scenario_id
-        assert doc["spans"][sid]["scenario.algorithm"]["calls"] == 1
+        assert doc["telemetry"][sid]["spans"]["scenario.algorithm"]["calls"] == 1
         back = read_results(path)
-        assert back[0].span_stats == doc["spans"][sid]
+        assert back[0].telemetry == doc["telemetry"][sid]
+
+    def test_worker_telemetry_carries_solver_counts_and_spans(self, tmp_path):
+        from repro.runtime import read_results, write_results
+        from repro.separators import reset_solver_state, solver_stats
+
+        reset_solver_state()  # forked workers must not inherit a warm cache
+        scenarios = [Scenario(family="grid", size=16, k=4),
+                     Scenario(family="mesh", size=16, k=4)]
+        results = run_sweep(scenarios, workers=2)
+        for r in results:
+            assert solver_stats(r.telemetry)["counters"]["solves"] > 0
+            assert r.telemetry["counters"]["oracle_cache_misses"] > 0
+            assert r.telemetry["spans"]["scenario.algorithm"]["calls"] == 1
+        path = tmp_path / "r.json"
+        write_results(path, results, timing=True)
+        back = read_results(path)
+        assert [b.telemetry for b in back] == [r.telemetry for r in results]
 
     def test_deterministic_payload_has_no_spans(self, tmp_path):
         from repro.runtime import write_results
@@ -580,4 +680,4 @@ class TestSweepSpansBlock:
         path = tmp_path / "r.json"
         write_results(path, results, timing=False)
         doc = json.loads(path.read_text())
-        assert "spans" not in doc and "timing" not in doc
+        assert "telemetry" not in doc and "timing" not in doc

@@ -25,7 +25,8 @@ from repro.graphs import (
     zipf_weights,
 )
 from repro.graphs.components import bfs_levels, pseudo_peripheral_vertex
-from repro.obs import events, registry, reset_telemetry, telemetry_enabled
+from repro.obs import events, merge_snapshots, registry, reset_telemetry, spans_snapshot
+from repro.obs.metrics import split_metric_key
 from repro.runtime import Scenario, run_scenario
 from repro.separators import (
     REGISTRY,
@@ -47,7 +48,7 @@ from repro.separators.orders import (
     _component_fiedler,
     _positive_components,
 )
-from repro.separators.solve import COUNTERS
+from repro.separators.solve import SOLVER_METRICS
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +56,16 @@ def _fresh_solver_state():
     reset_solver_state()
     yield
     reset_solver_state()
+
+
+def counts() -> dict:
+    """This process's solver counters: solves, dense, iterative, fallbacks."""
+    return solver_stats()["counters"]
+
+
+def cache_stats() -> dict | None:
+    """This process's solve-cache accounting (None before the cache exists)."""
+    return solver_stats()["cache"]
 
 
 def big_grid(seed=0):
@@ -71,9 +82,9 @@ class TestSolveCache:
         cold = fiedler_vector(g)
         hit = fiedler_vector(g)
         assert hit.tobytes() == cold.tobytes()
-        assert process_cache().stats()["hits"] == 1
-        assert process_cache().stats()["misses"] == 1
-        assert COUNTERS["solves"] == 1  # the hit skipped the eigensolve
+        assert cache_stats()["hits"] == 1
+        assert cache_stats()["misses"] == 1
+        assert counts()["solves"] == 1  # the hit skipped the eigensolve
 
     def test_cached_vectors_are_read_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
@@ -89,7 +100,7 @@ class TestSolveCache:
         for g in graphs:
             fiedler_vector(g)
         cache = process_cache()
-        assert cache.stats() == {"entries": 2, "maxsize": 2, "hits": 0,
+        assert cache_stats() == {"entries": 2, "maxsize": 2, "hits": 0,
                                  "misses": 3, "evictions": 1}
         # the first graph was evicted; the last two are resident
         assert graphs[0].structural_hash() not in cache
@@ -102,8 +113,8 @@ class TestSolveCache:
         first = fiedler_vector(g.subgraph(members).graph)
         second = fiedler_vector(g.subgraph(members.copy()).graph)
         assert second.tobytes() == first.tobytes()
-        assert process_cache().stats()["entries"] == 1
-        assert COUNTERS["solves"] == 1
+        assert cache_stats()["entries"] == 1
+        assert counts()["solves"] == 1
 
     def test_pipeline_keys_are_structural_hashes(self, monkeypatch):
         monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
@@ -121,11 +132,11 @@ class TestSolveCache:
         monkeypatch.setattr(orders, "fiedler_vector", recording_solve)
         monkeypatch.setattr(SolveCache, "put", recording_put)
         min_max_partition(grid_graph(24, 24), 8)
-        assert keys and COUNTERS["iterative"] > 0
+        assert keys and counts()["iterative"] > 0
         assert set(keys) <= set(solved)
         # a key is put once: a later solve of the same structure is a hit
         assert len(keys) == len(set(keys))
-        assert process_cache().stats()["entries"] == len(keys)
+        assert cache_stats()["entries"] == len(keys)
 
     def test_structural_hash_ignores_coords_and_sees_costs(self):
         g = grid_graph(5, 5)
@@ -137,8 +148,11 @@ class TestSolveCache:
         monkeypatch.setenv("REPRO_ORACLE_CACHE", "0")
         reset_solver_state()
         assert process_cache() is None
-        assert solver_stats() == {"enabled": False,
-                                  "counters": dict(COUNTERS), "cache": None}
+        assert solver_stats() == {
+            "enabled": False,
+            "counters": {"solves": 0, "dense": 0, "iterative": 0, "fallbacks": 0},
+            "cache": None,
+        }
         monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
         reset_solver_state()
         assert process_cache() is not None
@@ -146,10 +160,12 @@ class TestSolveCache:
     def test_env_size_bounds_process_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_ORACLE_CACHE_SIZE", "3")
         reset_solver_state()
-        assert process_cache().maxsize == 3
+        fiedler_vector(big_grid())
+        assert cache_stats()["maxsize"] == 3
         monkeypatch.delenv("REPRO_ORACLE_CACHE_SIZE")
         reset_solver_state()
-        assert process_cache().maxsize == 256
+        fiedler_vector(big_grid())
+        assert cache_stats()["maxsize"] == 256
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
     def test_bad_env_size_is_an_error(self, monkeypatch, value):
@@ -178,7 +194,7 @@ class TestPinnedLabels:
         w = zipf_weights(g, rng=np.random.default_rng(11))
         labels = min_max_partition(g, k, weights=w).labels
         digest = hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
-        assert COUNTERS["iterative"] > 0
+        assert counts()["iterative"] > 0
         assert digest.hexdigest() == PINNED_LABEL_DIGESTS[family, k]
 
 
@@ -257,6 +273,82 @@ class TestRegistry:
         assert u.size == 8
 
 
+@pytest.fixture
+def switch_telemetry(monkeypatch):
+    """Flip ``REPRO_TELEMETRY`` mid-test; the env and the cached flag are
+    restored afterwards."""
+    def switch(on: bool) -> None:
+        monkeypatch.setenv("REPRO_TELEMETRY", "1" if on else "0")
+        reset_telemetry()
+
+    yield switch
+    monkeypatch.undo()
+    reset_telemetry()
+
+
+class TestSolverTelemetry:
+    """The solver's counts live in the obs registry, and ``solver_stats()``
+    is a view over a registry snapshot."""
+
+    def test_reset_solver_state_drops_only_solver_entries(self, monkeypatch,
+                                                          switch_telemetry):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        switch_telemetry(True)
+        reg = registry()
+        reg.counter("stream_steps", policy="repair").inc(2)
+        run_scenario(Scenario(family="grid", size=24, k=8))
+        cache = process_cache()
+        before = reg.snapshot()
+        assert counts()["solves"] > 0 and cache_stats()["misses"] > 0
+        assert before["counters"]["kernel_passes{path=native}"] > 0
+        reset_solver_state()
+        after = reg.snapshot()
+        assert solver_stats(after) == {
+            "enabled": True,
+            "counters": {"solves": 0, "dense": 0, "iterative": 0, "fallbacks": 0},
+            "cache": None,
+        }
+
+        def kept(section):
+            return {key: value for key, value in before[section].items()
+                    if split_metric_key(key)[0] not in SOLVER_METRICS}
+
+        # exactly the solver's entries went: span rollups, kernel passes and
+        # stream counters are untouched
+        for section in ("counters", "gauges", "histograms"):
+            assert after[section] == kept(section)
+        assert after["spans"] == before["spans"] and after["spans"]
+        assert after["counters"]["stream_steps{policy=repair}"] == 2
+        assert spans_snapshot()["scenario.algorithm"][0] == 1
+        # the cache went with them: the next use builds a fresh one
+        assert process_cache() is not cache
+
+    def test_cell_counts_identical_telemetry_on_off(self, monkeypatch, switch_telemetry):
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        scenario = Scenario(family="grid", size=24, k=8, weights="zipf")
+        seen = []
+        for on in (True, False):
+            switch_telemetry(on)
+            reset_solver_state()
+            run_scenario(scenario)
+            seen.append(solver_stats())
+        assert seen[0] == seen[1]
+        assert seen[0]["counters"]["solves"] > 0
+        assert seen[0]["cache"]["hits"] > 0 and seen[0]["cache"]["misses"] > 0
+
+    def test_view_reads_a_merged_snapshot(self, monkeypatch):
+        # two processes' worth of snapshots sum into one view; the cache
+        # bound adds up the way the shards' caches do
+        monkeypatch.setenv("REPRO_ORACLE_CACHE", "1")
+        fiedler_vector(big_grid())
+        fiedler_vector(big_grid())
+        one = registry().snapshot()
+        merged = solver_stats(merge_snapshots([one, one]))
+        assert merged["counters"] == {"solves": 2, "dense": 0, "iterative": 2, "fallbacks": 0}
+        assert merged["cache"] == {"entries": 2, "maxsize": 512, "hits": 2, "misses": 2,
+                                   "evictions": 0}
+
+
 def _smoke_records(scenarios):
     return [run_scenario(s).record() for s in scenarios]
 
@@ -289,10 +381,11 @@ class TestByteIdentity:
 
     def test_solver_stats_stay_out_of_records(self):
         r = run_scenario(self.SCENARIOS[0])
-        assert r.solver_stats is not None and r.solver_stats["solves"] >= 0
-        assert "solver" not in r.record()
+        counted = solver_stats(r.telemetry)["counters"]
+        assert counted["solves"] >= 0
+        assert "solver" not in r.record() and "telemetry" not in r.record()
         for key in r.record()["metrics"]:
-            assert key not in COUNTERS
+            assert key not in counted
 
 
 def components_instance():
@@ -377,6 +470,9 @@ def failing_eigsh(monkeypatch):
         yield log
     finally:
         events.configure(None)
+        # restore a test's REPRO_TELEMETRY before re-reading it, or the
+        # cached flag stays off for every later test in the process
+        monkeypatch.undo()
         reset_telemetry()
 
 
@@ -391,26 +487,40 @@ class TestEigensolverFallback:
         levels = bfs_levels(g, [pseudo_peripheral_vertex(g)]).astype(np.float64)
         assert np.array_equal(fiedler_vector(g), levels)
         assert np.array_equal(fiedler_order(g), np.argsort(levels, kind="stable"))
-        assert COUNTERS["fallbacks"] == 2
+        assert counts()["fallbacks"] == 2
         assert [(e["reason"], e["n"]) for e in fallback_events(failing_eigsh)] == [
             ("ArpackNoConvergence", g.n)] * 2
-        if telemetry_enabled():
-            counters = registry().snapshot()["counters"]
-            assert counters["oracle_fallbacks{reason=ArpackNoConvergence}"] == 2
+        counters = registry().snapshot()["counters"]
+        assert counters["oracle_fallbacks{reason=ArpackNoConvergence}"] == 2
+
+    @pytest.mark.parametrize("telemetry", ["1", "0"])
+    def test_fallback_counts_once(self, failing_eigsh, monkeypatch, telemetry):
+        # one failed solve is one registry counter bump, telemetry on or off:
+        # a solve by its path, a fallback by its reason, nothing else
+        monkeypatch.setenv("REPRO_TELEMETRY", telemetry)
+        reset_telemetry()
+        fiedler_vector(big_grid())
+        assert registry().snapshot()["counters"] == {
+            "fiedler_solves{path=iterative}": 1,
+            "oracle_fallbacks{reason=ArpackNoConvergence}": 1,
+        }
+        assert counts() == {"solves": 1, "dense": 0, "iterative": 1, "fallbacks": 1}
 
     def test_records_identical_telemetry_on_off(self, failing_eigsh, monkeypatch):
         scenario = Scenario(family="grid", size=16, k=4, weights="zipf")
         monkeypatch.setenv("REPRO_TELEMETRY", "1")
         reset_telemetry()
         on = run_scenario(scenario).record()
-        fell_back = COUNTERS["fallbacks"]
+        fell_back = counts()["fallbacks"]
         assert fell_back > 0
         counters = registry().snapshot()["counters"]
         assert counters["oracle_fallbacks{reason=ArpackNoConvergence}"] == fell_back
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
         reset_telemetry()
         off = run_scenario(scenario).record()
-        assert COUNTERS["fallbacks"] == 2 * fell_back
-        assert "oracle_fallbacks{reason=ArpackNoConvergence}" not in registry().snapshot()["counters"]
+        # the same fallbacks are counted again with telemetry off
+        assert counts()["fallbacks"] == fell_back
+        counters = registry().snapshot()["counters"]
+        assert counters["oracle_fallbacks{reason=ArpackNoConvergence}"] == fell_back
         assert len(fallback_events(failing_eigsh)) == 2 * fell_back
         assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)

@@ -86,6 +86,11 @@ class TestHashRing:
         with pytest.raises(ValueError, match="at least one endpoint"):
             HashRing([])
 
+    @pytest.mark.parametrize("replicas", [0, -3])
+    def test_replicas_below_one_rejected(self, replicas):
+        with pytest.raises(ValueError, match=f"replicas must be >= 1, got {replicas}"):
+            HashRing(["a:1"], replicas=replicas)
+
 
 class TestEndpointHelpers:
     def test_parse_endpoints_string_and_iterable(self):
@@ -812,3 +817,39 @@ class TestRouterDefaults:
             client_default = inspect.signature(
                 fn).parameters["request_timeout"].default
             assert router_default >= client_default
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"request_timeout": 0}, "request_timeout must be > 0, got 0"),
+        ({"request_timeout": -1}, "request_timeout must be > 0, got -1"),
+        ({"connect_timeout": 0}, "connect_timeout must be > 0, got 0"),
+        ({"connect_timeout": -1}, "connect_timeout must be > 0, got -1"),
+        ({"retries": -3}, "retries must be >= 0, got -3"),
+        ({"backoff_base_s": -1}, "backoff_base_s must be >= 0, got -1"),
+        ({"replicas": 0}, "replicas must be >= 1, got 0"),
+    ])
+    def test_out_of_range_settings_rejected(self, kwargs, match):
+        # a zero timeout fails every hop and marks every healthy host down;
+        # the others used to be clamped without a word
+        with pytest.raises(ValueError, match=match):
+            RingRouter(["127.0.0.1:1"], **kwargs)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--request-timeout", "0", "request_timeout must be > 0, got 0.0"),
+        ("--connect-timeout", "-1", "connect_timeout must be > 0, got -1.0"),
+        ("--retries", "-1", "retries must be >= 0, got -1"),
+        ("--backoff-ms", "-5", "backoff_base_s must be >= 0, got -0.005"),
+        ("--replicas", "0", "replicas must be >= 1, got 0"),
+        ("--probe-interval", "0", "--probe-interval must be > 0, got 0.0"),
+        ("--probe-interval", "-1", "--probe-interval must be > 0, got -1.0"),
+    ])
+    def test_route_reports_bad_settings_in_one_line(self, monkeypatch, flag, value, message):
+        import repro.service as service_mod
+        from repro.cli import main
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the router started despite a bad setting")
+
+        monkeypatch.setattr(service_mod, "route_serve", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["route", "--port", "0", "--backends", "127.0.0.1:1", flag, value])
+        assert exc.value.code == f"route: {message}"

@@ -134,8 +134,7 @@ class TestResultsJson:
         write_results(path, results, grid=TINY, timing=True)
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
-        # "spans" rides along only when telemetry is on (the default)
-        assert set(doc) - {"spans"} == {"schema_version", "grid", "results", "timing", "solver"}
+        assert set(doc) == {"schema_version", "grid", "results", "timing", "telemetry"}
         back = read_results(path)
         assert [r.record() for r in back] == [r.record() for r in results]
         assert all(r.wall_clock_s > 0 for r in back)
@@ -239,6 +238,12 @@ class TestSweepCli:
 
         grid = ScenarioGrid(**SWEEP_PRESETS["smoke"])
         assert len(grid.scenarios()) == 24
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_sweep_reports_k_below_one_in_one_line(self, k):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "grid", "--size", "6", "--k", k])
+        assert exc.value.code == f"sweep: k must be >= 1, got {k}"
 
     def test_sweep_reports_bad_oracle_cache_size_before_running(self, monkeypatch):
         import repro.runtime as runtime_mod

@@ -87,6 +87,8 @@ class TestProtocol:
             ({"family": "grid", "size": 12.9, "k": 2}, "size must be an integer"),
             ({"family": "grid", "size": 8, "k": 3.5}, "k must be an integer"),
             ({"family": "grid", "size": 8, "k": 2, "seed": True}, "seed must be an integer"),
+            ({"family": "grid", "size": 8, "k": 0}, "k must be >= 1, got 0"),
+            ({"family": "grid", "size": 8, "k": -2}, "k must be >= 1, got -2"),
         ],
     )
     def test_bad_specs_rejected(self, spec, match):
@@ -353,6 +355,23 @@ class TestDecompositionService:
 
 
 class TestServer:
+    def test_k_below_one_is_rejected_before_batching(self):
+        async def run():
+            service = DecompositionService(shards=0)
+            task, host, port = await start_server(service)
+            client = await ServiceClient.connect(host, port)
+            try:
+                bad = await client.decompose({"family": "grid", "size": 6, "k": 0})
+                return bad, service.stats()
+            finally:
+                await client.close()
+                await stop_server(task, host, port)
+
+        bad, stats = asyncio.run(run())
+        assert not bad["ok"] and "k must be >= 1" in bad["error"]
+        # refused on the event loop: no batch was formed, nothing failed in a shard
+        assert stats["batcher"]["batches"] == 0 and stats["errors"] == 0
+
     def test_end_to_end_records_and_control_ops(self):
         async def run():
             service = DecompositionService(shards=0)
