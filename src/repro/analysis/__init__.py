@@ -7,7 +7,7 @@ from .bounds import (
     theorem4_rhs,
     theorem5_rhs,
 )
-from .metrics import PartitionMetrics, evaluate_coloring
+from .metrics import PartitionMetrics, evaluate_coloring, record_metrics
 from .reporting import Table
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "estimate_decomposition_cost",
     "PartitionMetrics",
     "evaluate_coloring",
+    "record_metrics",
     "theorem4_rhs",
     "theorem5_rhs",
     "estimate_splittability",

@@ -9,8 +9,9 @@ import numpy as np
 from ..core.balance import strict_balance_margin
 from ..core.coloring import Coloring
 from ..graphs.graph import Graph
+from .bounds import theorem5_rhs
 
-__all__ = ["PartitionMetrics", "evaluate_coloring"]
+__all__ = ["PartitionMetrics", "evaluate_coloring", "record_metrics"]
 
 
 @dataclass(frozen=True)
@@ -62,3 +63,20 @@ def evaluate_coloring(g: Graph, coloring: Coloring, weights: np.ndarray) -> Part
         balance_margin=strict_balance_margin(cw, total, wmax, coloring.k),
         strictly_balanced=coloring.is_strictly_balanced(w, tol=1e-7),
     )
+
+
+def record_metrics(g: Graph, coloring: Coloring, weights: np.ndarray, k: int) -> dict:
+    """The six metrics every sweep record and stream snapshot carries:
+    ``max_boundary``, ``avg_boundary``, ``total_cut``, ``balance_margin``,
+    ``strictly_balanced`` and ``bound_ratio_thm5`` (the max boundary over
+    Theorem 5's right-hand side at ``p = 2``)."""
+    m = evaluate_coloring(g, coloring, weights)
+    rhs5 = theorem5_rhs(g, k, p=2.0)
+    return {
+        "max_boundary": float(m.max_boundary),
+        "avg_boundary": float(m.avg_boundary),
+        "total_cut": float(m.total_cut),
+        "balance_margin": float(m.balance_margin),
+        "strictly_balanced": bool(m.strictly_balanced),
+        "bound_ratio_thm5": float(m.max_boundary / rhs5) if rhs5 > 0 else 0.0,
+    }

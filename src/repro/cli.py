@@ -397,6 +397,22 @@ def _oracle_cache_env(command: str, disable: bool, size: int | None = None) -> N
         raise SystemExit(f"{command}: {exc}") from exc
 
 
+#: subcommands that run FM passes, in this process or in workers it starts
+_FM_COMMANDS = frozenset({"partition", "demo", "sweep", "profile", "serve"})
+
+
+def _kernel_env(command: str) -> None:
+    """Reject an unknown ``REPRO_KERNEL`` in one ``command: ...`` line
+    before any work; workers inherit the environment, so the same name
+    would otherwise fail every cell or request."""
+    from .core.kernels import default_kernel
+
+    try:
+        default_kernel()
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}") from exc
+
+
 def _run_sweep(args) -> int:
     from .runtime import (
         compare_to_baseline,
@@ -812,6 +828,8 @@ def _run_loadgen_churn(args, scenarios) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in _FM_COMMANDS or getattr(args, "check_sweep", False):
+        _kernel_env(args.command)
     if args.command == "partition":
         g, stored_w = _load_graph(args.graph)
         w = _load_weights(args.weights, g.n, stored_w)

@@ -21,6 +21,7 @@ import heapq
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..obs import events, registry
 from ..separators.solve import oracle_split
 from .coloring import Coloring
 
@@ -224,7 +225,9 @@ def _repair_balance(g: Graph, coloring: Coloring, weights: np.ndarray) -> Colori
 
     The proven path never needs this; it guards against pathological float
     accumulation.  Moves the lightest vertex of the heaviest class to the
-    lightest class while the Definition 1 window is violated.
+    lightest class while the Definition 1 window is violated.  Each use
+    counts once as ``balance_repairs`` in the obs registry, telemetry on or
+    off, and emits a ``binpack.balance_repair`` event with its move count.
     """
     w = np.asarray(weights, dtype=np.float64)
     k = coloring.k
@@ -234,6 +237,7 @@ def _repair_balance(g: Graph, coloring: Coloring, weights: np.ndarray) -> Colori
     w_star = total / k
     window = (1.0 - 1.0 / k) * wmax
     cw = Coloring(labels, k).class_weights(w)
+    moves = 0
     for _ in range(int(labels.size) + 8):
         hi = int(np.argmax(cw))
         lo = int(np.argmin(cw))
@@ -246,4 +250,7 @@ def _repair_balance(g: Graph, coloring: Coloring, weights: np.ndarray) -> Colori
         labels[v] = lo
         cw[hi] -= w[v]
         cw[lo] += w[v]
+        moves += 1
+    registry().counter("balance_repairs").inc()
+    events.emit("binpack.balance_repair", moves=moves)
     return Coloring(labels, k)

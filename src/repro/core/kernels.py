@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -583,25 +582,24 @@ def _unknown_kernel(name: str) -> ValueError:
 
 
 def _initial_default() -> str:
-    name = os.environ.get("REPRO_KERNEL", "").strip()
-    if not name:
-        return DEFAULT_KERNEL
-    if name not in REGISTRY:
-        warnings.warn(
-            f"REPRO_KERNEL={name!r} is not a known kernel "
-            f"(known: {', '.join(sorted(REGISTRY))}); using {DEFAULT_KERNEL!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_KERNEL
-    return name
+    """``REPRO_KERNEL`` as set, unchecked, so importing never fails;
+    :func:`default_kernel` rejects an unknown name."""
+    return os.environ.get("REPRO_KERNEL", "").strip() or DEFAULT_KERNEL
 
 
 _default_kernel = _initial_default()
 
 
 def default_kernel() -> str:
-    """Name of the kernel used when callers don't pick one explicitly."""
+    """Name of the kernel used when callers don't pick one explicitly.
+
+    Raises ``ValueError`` listing the known names when ``REPRO_KERNEL``
+    named none of them: a typo must not run the default kernel and record
+    it as if asked for.
+    """
+    if _default_kernel not in REGISTRY:
+        raise ValueError(f"REPRO_KERNEL={_default_kernel!r} is not a known FM kernel; "
+                         f"known: {', '.join(sorted(REGISTRY))}")
     return _default_kernel
 
 
@@ -637,7 +635,7 @@ def run_pair_kernel(
     ``csr`` optionally shares a precomputed ``Graph.csr_lists()`` tuple so
     multi-pass callers amortize the list conversion across passes.
     """
-    name = kernel if kernel is not None else _default_kernel
+    name = kernel if kernel is not None else default_kernel()
     fn = REGISTRY.get(name)
     if fn is None:
         raise _unknown_kernel(name)

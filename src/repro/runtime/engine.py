@@ -21,9 +21,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
-from ..analysis import evaluate_coloring, theorem5_rhs
+from ..analysis import record_metrics
 from ..core.kernels import use_kernel
 from ..obs import registry, snapshot_delta, span
+from ..separators.solve import reset_solver_state
 from .algorithms import resolved_kernel_name, resolved_oracle_name, run_algorithm
 from .instances import Instance, InstanceCache
 from .results import ScenarioResult
@@ -43,9 +44,14 @@ def worker_init(cache_dir=None, max_entries=None):
     worker process reuses instances across the scenarios it is handed.
     Sweeps are finite and leave the cache unbounded; long-lived shards pass
     ``max_entries`` so worker memory stays bounded under diverse traffic.
+
+    It also drops the solver state a forked worker inherits: a solve cache
+    the caller warmed would answer the worker's solves, so its cells would
+    count (and time) fewer solves than the same cells in a fresh process.
     """
     global _WORKER_CACHE
     _WORKER_CACHE = InstanceCache(directory=cache_dir, max_entries=max_entries)
+    reset_solver_state()
 
 
 def worker_run(scenario: Scenario) -> ScenarioResult:
@@ -131,18 +137,8 @@ def run_scenario(scenario: Scenario, cache: InstanceCache | None = None) -> Scen
 
 def _evaluate(inst: Instance, scenario: Scenario, coloring) -> dict:
     """The static cell's deterministic metrics."""
-    g = inst.graph
     with span("scenario.evaluate"):
-        m = evaluate_coloring(g, coloring, inst.weights)
-        rhs5 = theorem5_rhs(g, scenario.k, p=2.0)
-    metrics = {
-        "max_boundary": float(m.max_boundary),
-        "avg_boundary": float(m.avg_boundary),
-        "total_cut": float(m.total_cut),
-        "balance_margin": float(m.balance_margin),
-        "strictly_balanced": bool(m.strictly_balanced),
-        "bound_ratio_thm5": float(m.max_boundary / rhs5) if rhs5 > 0 else 0.0,
-    }
+        metrics = record_metrics(inst.graph, coloring, inst.weights, scenario.k)
     oracle_name = resolved_oracle_name(scenario)
     if oracle_name is not None:
         # the resolved registry name is a pure function of the scenario, so

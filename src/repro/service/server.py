@@ -281,10 +281,8 @@ class DecompositionService:
             if not outcome.get("ok"):
                 self._sessions.pop(sid, None)
                 if self._state_lost(outcome):
-                    # a worker crash mid-open is a loss too: keep the stats
-                    # counter in step with what clients (and loadgen's
-                    # classifier) see on the wire
-                    self.sessions_lost += 1
+                    # a worker crash mid-open is a loss too
+                    raise self._session_lost(sid, op, outcome)
                 raise ServiceError(outcome.get("error", "open failed"))
             self.sessions_opened += 1
             return {"ok": True, "session": sid, "snapshot": outcome["snapshot"]}
@@ -315,16 +313,7 @@ class DecompositionService:
             self._sessions.pop(sid, None)
             if self.journal is not None:
                 self.journal.delete(sid)
-            self.sessions_lost += 1
-            # every terminal loss — executor break, respawned registry,
-            # exhausted or diverged replay — reads "session lost", so
-            # clients (and loadgen's report classifier) need one test
-            reason = str(outcome.get("error") or "worker state gone")
-            if not reason.startswith("session lost"):
-                reason = f"session lost: {reason}"
-            events.emit("session.lost", session=sid, op=op, error=reason)
-            obs_registry().counter("sessions_lost").inc()
-            raise ServiceError(reason)
+            raise self._session_lost(sid, op, outcome)
         if not outcome.get("ok"):
             raise ServiceError(outcome.get("error", "session op failed"))
         if op == "close_stream":
@@ -398,7 +387,7 @@ class DecompositionService:
         if not outcome.get("ok"):
             self._sessions.pop(sid, None)
             if self._state_lost(outcome):
-                self.sessions_lost += 1
+                raise self._session_lost(sid, "restore_stream", outcome)
             raise ServiceError(outcome.get("error", "restore failed"))
         self.sessions_restored += 1
         events.emit("session.handoff_in", session=sid, replayed=len(ops))
@@ -482,6 +471,24 @@ class DecompositionService:
     def _state_lost(outcome: dict) -> bool:
         """True when the worker no longer holds the session's state."""
         return bool(outcome.get("session_lost") or outcome.get("unknown_session"))
+
+    def _session_lost(self, sid: str, op: str, outcome: dict) -> ServiceError:
+        """Record a terminal session loss and build the client's error.
+
+        Every loss — in open, restore or a later op — counts in the
+        ``stats`` block, in the registry's ``sessions_lost`` counter and as
+        a ``session.lost`` event, so ``/metrics``, the event log and what
+        clients see on the wire agree.  Every cause — executor break,
+        respawned registry, exhausted or diverged replay — reads "session
+        lost", so clients (and loadgen's report classifier) need one test.
+        """
+        self.sessions_lost += 1
+        reason = str(outcome.get("error") or "worker state gone")
+        if not reason.startswith("session lost"):
+            reason = f"session lost: {reason}"
+        events.emit("session.lost", session=sid, op=op, error=reason)
+        obs_registry().counter("sessions_lost").inc()
+        return ServiceError(reason)
 
     async def _recover_and_retry(self, sid: str, entry: dict, payload: dict,
                                  lost_outcome: dict) -> dict:

@@ -29,7 +29,6 @@ from ..graphs.components import bfs_levels, is_connected, is_connected_within
 from ..graphs.graph import Graph
 
 __all__ = [
-    "BoundaryGainTable",
     "cheap_lower_bound",
     "restore_window",
     "local_repair",
@@ -37,10 +36,12 @@ __all__ = [
     "strict_window",
 ]
 
-# restore_window's incremental mover table allocates two (n, k) matrices;
-# above this element count the rebuild-per-iteration fallback is cheaper
-# than the allocation (and the memory is not worth it).
-_MOVER_TABLE_CAP = 1 << 22
+#: local_repair's budget: FM rounds over the dirty class pairs, how many of
+#: those pairs (costliest shared boundary first), and the BFS radius of the
+#: movable halo around the dirty region
+_REPAIR_ROUNDS = 2
+_REPAIR_PAIRS = 6
+_HALO_HOPS = 3
 
 
 def strict_window(weights: np.ndarray, k: int) -> tuple[float, float]:
@@ -128,80 +129,6 @@ def _boundary_movers(g: Graph, labels: np.ndarray, cls: int) -> list[tuple[float
     return out
 
 
-class BoundaryGainTable:
-    """Incremental per-(vertex, class) boundary-cost table for the window
-    restorer.
-
-    :func:`restore_window` historically rebuilt its candidate-move list from
-    scratch on *every* iteration of its move loop (an O(members × degree)
-    Python scan per move).  This table applies the FM kernels' gain-table
-    discipline to that loop instead: ``toward[v, c]`` holds the total cost of
-    ``v``'s edges into class ``c`` and ``count[v, c]`` the number of such
-    edges (counts distinguish "no edges" from "only zero-cost edges", which
-    the cost matrix alone cannot).  Both are built once with a vectorized
-    scatter over the half-edges and patched in O(deg v) after each move.
-
-    :meth:`movers` reproduces :func:`_boundary_movers` *exactly* on
-    integer-valued costs — same destinations (max toward-cost, ties to the
-    smaller class id), same deltas, same ``(delta, vertex)`` ordering; the
-    equivalence is asserted against churn states in the e15 benchmark.  With
-    non-integral costs the scatter's accumulation order could differ from
-    the legacy per-vertex sums in the last ulp, so callers gate on
-    ``Graph.costs_integral()`` and fall back to the legacy scan.
-    """
-
-    __slots__ = ("g", "k", "toward", "count")
-
-    def __init__(self, g: Graph, labels: np.ndarray, k: int):
-        self.g = g
-        self.k = k
-        toward = np.zeros((g.n, k), dtype=np.float64)
-        count = np.zeros((g.n, k), dtype=np.int64)
-        if g.m:
-            src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-            lab = labels[g.nbr]
-            sel = lab >= 0
-            np.add.at(toward, (src[sel], lab[sel]), g.arc_costs[sel])
-            np.add.at(count, (src[sel], lab[sel]), 1)
-        self.toward = toward
-        self.count = count
-
-    def apply_move(self, v: int, src_cls: int, dst_cls: int) -> None:
-        """Fold ``v``'s move ``src_cls → dst_cls`` into its neighbors' rows."""
-        g = self.g
-        s, e = g.indptr[v], g.indptr[v + 1]
-        u = g.nbr[s:e]
-        c = g.arc_costs[s:e]
-        np.add.at(self.toward, (u, src_cls), -c)
-        np.add.at(self.count, (u, src_cls), -1)
-        np.add.at(self.toward, (u, dst_cls), c)
-        np.add.at(self.count, (u, dst_cls), 1)
-
-    def movers(self, labels: np.ndarray, cls: int) -> list[tuple[float, int, int]]:
-        """Candidate moves out of ``cls``; matches :func:`_boundary_movers`."""
-        members = np.flatnonzero(labels == cls)
-        if members.size == 0:
-            return []
-        cand = self.count[members] > 0
-        cand[:, cls] = False
-        has = cand.any(axis=1)
-        if not np.any(has):
-            return []
-        members = members[has]
-        cand = cand[has]
-        tw = self.toward[members]
-        masked = np.where(cand, tw, -np.inf)
-        # argmax returns the first maximum → ties go to the smaller class id,
-        # exactly like the legacy max(..., key=(cost, -label))
-        dst = np.argmax(masked, axis=1)
-        delta = tw[:, cls] - masked[np.arange(members.size), dst]
-        order = np.argsort(delta, kind="stable")  # members ascending → (delta, v)
-        return [
-            (float(delta[t]), int(members[t]), int(dst[t]))
-            for t in order.tolist()
-        ]
-
-
 def seed_new_vertices(
     g: Graph,
     labels: np.ndarray,
@@ -213,9 +140,9 @@ def seed_new_vertices(
 
     Each vertex of ``fresh`` with label ``-1`` is assigned the class already
     holding the largest share of its incident cost (the class minimizing the
-    boundary it creates — the same toward-cost rule the
-    :class:`BoundaryGainTable` movers use), restricted to classes the strict
-    window can still accommodate; with no positive pull (no colored
+    boundary it creates — the same toward-cost rule by which
+    :func:`restore_window` picks a mover's destination), restricted to
+    classes the strict window can still accommodate; with no positive pull (no colored
     neighbor, or only zero-cost edges) it falls back to the lightest
     feasible class.  Vertices are seeded in ascending id order and the
     running class weights are updated per placement, so replicas agree
@@ -257,7 +184,6 @@ def restore_window(
     labels: np.ndarray,
     weights: np.ndarray,
     k: int,
-    max_moves: int | None = None,
 ) -> bool:
     """Greedily move boundary vertices until every class is back inside the
     strict window.  Mutates ``labels`` in place; returns success.
@@ -265,22 +191,18 @@ def restore_window(
     Weight mutations move class totals by at most the mutated mass, so a
     handful of cheapest-boundary-delta moves from overweight (resp. into
     underweight) classes restores Definition 1 in the common case.  Failure
-    (window still violated after the move budget) means the perturbation
+    (window still violated after ``4k + 16`` moves) means the perturbation
     was too large for local repair — the caller escalates to a full solve.
 
-    On integer-valued costs the candidate lists come from an incrementally
-    maintained :class:`BoundaryGainTable` (built once, patched per move)
-    instead of the legacy rebuild-per-iteration scan; the class-weight
-    bincount stays per-iteration, as it is the float-exactness anchor the
-    feasibility checks hang off.
+    Each move out of an overweight class rescans that class's members for
+    candidates (:func:`_boundary_movers`), and the class weights are
+    recounted per move: both read the labels as they stand, so no state
+    outlives a move and a grown index space needs nothing resized.
     """
     w = np.asarray(weights, dtype=np.float64)
     lo, hi = strict_window(w, k)
-    budget = max_moves if max_moves is not None else 4 * k + 16
     tol = 1e-9
-    table: BoundaryGainTable | None = None
-    use_table = g.m > 0 and g.n * k <= _MOVER_TABLE_CAP and g.costs_integral()
-    for _ in range(budget):
+    for _ in range(4 * k + 16):
         cw = np.bincount(labels[labels >= 0], weights=w[labels >= 0], minlength=k)
         over = np.flatnonzero(cw > hi + tol)
         under = np.flatnonzero(cw < lo - tol)
@@ -289,29 +211,18 @@ def restore_window(
         moved = False
         if over.size:
             cls = int(over[np.argmax(cw[over])])
-            if use_table:
-                if table is None:
-                    table = BoundaryGainTable(g, labels, k)
-                movers = table.movers(labels, cls)
-            else:
-                movers = _boundary_movers(g, labels, cls)
-            for _, v, dst in movers:
+            for _, v, dst in _boundary_movers(g, labels, cls):
                 # prefer shedding into the lightest feasible destination
                 if cw[dst] + w[v] <= hi + tol and cw[cls] - w[v] >= lo - tol:
                     labels[v] = dst
-                    if table is not None:
-                        table.apply_move(v, cls, dst)
                     moved = True
                     break
         elif under.size:
             cls = int(under[np.argmin(cw[under])])
             # pull the cheapest boundary vertex of a neighboring class in
-            pick = _pull_candidate(g, labels, w, cw, cls, lo, hi, tol)
-            if pick is not None:
-                u, src = pick
+            u = _pull_candidate(g, labels, w, cw, cls, lo, hi, tol)
+            if u is not None:
                 labels[u] = cls
-                if table is not None:
-                    table.apply_move(u, src, cls)
                 moved = True
         if not moved:
             return False
@@ -328,14 +239,14 @@ def _pull_candidate(
     lo: float,
     hi: float,
     tol: float,
-) -> tuple[int, int] | None:
-    """Best vertex to pull *into* underweight ``cls``: ``(vertex, old class)``.
+) -> int | None:
+    """Best vertex to pull *into* underweight ``cls``.
 
     Vectorized over the half-edges leaving ``cls`` members, selecting the
     feasible neighbor with the costliest connecting edge (ties to the
     smallest vertex id, matching the legacy ``min((-c, u))`` scan).  Pure
-    comparisons and one exact negation — byte-identical to the legacy loop
-    for arbitrary float costs, so this path needs no integrality gate.
+    comparisons and one exact negation, so the pick is byte-identical to
+    the legacy loop for arbitrary float costs.
     """
     if g.m == 0:
         return None
@@ -350,11 +261,10 @@ def _pull_candidate(
     if u.size == 0:
         return None
     feas = (cw[lu] - w[u] >= lo - tol) & (cw[cls] + w[u] <= hi + tol)
-    u, c, lu = u[feas], c[feas], lu[feas]
+    u, c = u[feas], c[feas]
     if u.size == 0:
         return None
-    t = np.lexsort((u, -c))[0]
-    return int(u[t]), int(lu[t])
+    return int(u[np.lexsort((u, -c))[0]])
 
 
 def local_repair(
@@ -363,23 +273,22 @@ def local_repair(
     weights: np.ndarray,
     k: int,
     dirty: np.ndarray,
-    rounds: int = 2,
-    max_pairs: int = 6,
-    halo_hops: int = 3,
 ) -> int:
     """Dirty-region-seeded FM refinement; mutates ``labels``, returns the
     number of refined class pairs.
 
     The seed set is the *classes* of the dirty region (mutated vertices and
     their neighbors): every boundary pair involving a dirty class is a
-    candidate, ordered by shared boundary cost, capped at ``max_pairs``.
+    candidate, ordered by shared boundary cost, capped at the costliest
+    :data:`_REPAIR_PAIRS`.
     Class-level seeding matters: a cost mutation strictly interior to one
     class still changes where that class's boundary *should* sit, which a
     vertex-level cross-edge seed would miss entirely.  Moves are restricted
-    to the BFS *halo* of the dirty region (``halo_hops`` hops), so repair
+    to the BFS *halo* of the dirty region (:data:`_HALO_HOPS` hops), so repair
     work scales with the perturbation, not with ``n`` — the strict-balance
     window is still accounted over full classes, so restricted passes never
-    break Definition 1.
+    break Definition 1.  At most :data:`_REPAIR_ROUNDS` rounds run over the
+    pairs, stopping early once a round changes nothing.
     """
     dirty = np.asarray(dirty, dtype=np.int64)
     if dirty.size == 0 or g.m == 0 or k < 2:
@@ -408,21 +317,18 @@ def local_repair(
     order = np.argsort(-sums, kind="stable")
     pairs = [
         (int(key) // k, int(key) % k)
-        for key in order[: max_pairs]
+        for key in order[:_REPAIR_PAIRS]
         if sums[key] > 0
     ]
-    if dirty.size:
-        levels = bfs_levels(g, dirty)
-        movable = (levels >= 0) & (levels <= halo_hops)
-    else:  # pragma: no cover - guarded above
-        movable = np.ones(g.n, dtype=bool)
+    levels = bfs_levels(g, dirty)
+    movable = (levels >= 0) & (levels <= _HALO_HOPS)
     # dense halos route the kernel to its list-based path: convert the CSR
     # once for all rounds x pairs.  Sparse halos (members <= n/8 for every
     # pair, since members ⊆ movable) always take the restricted path, which
     # never reads the lists — skip the O(n + m) boxing entirely.
     csr = g.csr_lists() if int(np.count_nonzero(movable)) * 8 > g.n else None
     refined = 0
-    for _ in range(max(1, rounds)):
+    for _ in range(_REPAIR_ROUNDS):
         changed = False
         for i, j in pairs:
             if run_pair_kernel(g, labels, w, i, j, lo, hi, movable=movable, csr=csr)[1]:

@@ -225,7 +225,6 @@ class StreamSession:
         w = self.state.weights
         action = "repair"
         if self.policy == "recompute":
-            self._full_solve()
             action = "recompute"
         else:
             t0 = time.perf_counter()
@@ -249,7 +248,6 @@ class StreamSession:
             self.repair_seconds += time.perf_counter() - t0
             cost = self.coloring.max_boundary(g)
             if not balanced:
-                self._full_solve()
                 action = "recompute-balance"
             elif self.policy == "repair":
                 # drift monitor: the reference is the cheap combinatorial
@@ -262,23 +260,24 @@ class StreamSession:
                     self.last_full_cost,
                 )
                 if floor > 0 and cost > self.gamma * floor:
-                    self._full_solve()
                     action = "recompute-drift"
                 elif self.refresh > 0 and self.steps_since_full >= self.refresh:
                     # bounded staleness: the reference ages as mutations
                     # accumulate (the moving optimum may have dropped below
                     # it, blinding the drift test), so refresh periodically
-                    self._full_solve()
                     action = "recompute-refresh"
-            if action == "repair":
-                self.repairs += 1
+        if action == "repair":
+            self.repairs += 1
+        else:
+            # a full solve evaluates its own coloring's max boundary
+            self._full_solve()
+            cost = self.last_full_cost
         # telemetry: the drift monitor's verdicts, aggregable across every
         # session a worker hosts (action cardinality is the fixed policy
         # outcome set, so it is label-safe for /metrics)
         reg = _telemetry()
         reg.counter("stream_steps", action=action).inc()
         reg.counter("stream_mutations").inc(len(batch))
-        cost = self.coloring.max_boundary(g)
         return {
             "step": self.steps_taken,
             "version": self.state.version,
@@ -291,20 +290,9 @@ class StreamSession:
     # ------------------------------------------------------------------
     def metrics(self) -> dict:
         """Standard coloring metrics evaluated on the *current* graph."""
-        from ..analysis import evaluate_coloring, theorem5_rhs
+        from ..analysis import record_metrics
 
-        g = self.state.graph()
-        w = self.state.weights
-        m = evaluate_coloring(g, self.coloring, w)
-        rhs5 = theorem5_rhs(g, self.k, p=2.0)
-        return {
-            "max_boundary": float(m.max_boundary),
-            "avg_boundary": float(m.avg_boundary),
-            "total_cut": float(m.total_cut),
-            "balance_margin": float(m.balance_margin),
-            "strictly_balanced": bool(m.strictly_balanced),
-            "bound_ratio_thm5": float(m.max_boundary / rhs5) if rhs5 > 0 else 0.0,
-        }
+        return record_metrics(self.state.graph(), self.coloring, self.state.weights, self.k)
 
     def counters(self) -> dict:
         return {

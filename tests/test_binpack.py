@@ -132,3 +132,33 @@ class TestBinPackStrict:
         assert out.is_strictly_balanced(w)
         # quadrants were already strictly balanced: nothing should change much
         assert out.max_boundary(g) <= before + 2 * g.max_cost_degree() + 1e-9
+
+    def test_balance_repair_is_counted_and_logged(self, oracle, monkeypatch):
+        """Prop 12's safety net is observable: a chunk extractor that finds
+        nothing leaves a class overweight, the greedy repair balances it,
+        and the use counts in the registry and the event log."""
+        import io
+        import json
+
+        from repro.core import binpack
+        from repro.obs import events, registry
+
+        monkeypatch.setattr(binpack, "extract_chunk",
+                            lambda *args: np.zeros(0, dtype=np.int64))
+        g = path_graph(8)
+        w = np.ones(8)
+
+        def repairs():
+            return registry().snapshot()["counters"].get("balance_repairs", 0)
+
+        before = repairs()
+        log = io.StringIO()
+        events.configure(log)
+        try:
+            out = binpack_strict(g, Coloring.trivial(8, 2), w, oracle)
+        finally:
+            events.configure(None)
+        assert out.is_strictly_balanced(w)
+        assert repairs() - before == 1
+        logged = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert [(e["event"], e["moves"]) for e in logged] == [("binpack.balance_repair", 4)]

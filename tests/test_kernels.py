@@ -525,11 +525,34 @@ class TestKernelRegistry:
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "reference")
         assert K._initial_default() == "reference"
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.warns(RuntimeWarning, match="REPRO_KERNEL"):
-            assert K._initial_default() == DEFAULT_KERNEL
         monkeypatch.delenv("REPRO_KERNEL")
         assert K._initial_default() == DEFAULT_KERNEL
+
+    def test_unknown_env_kernel_raises(self, monkeypatch):
+        # importing keeps working; every use of the default then refuses
+        # the name instead of running (and recording) the default kernel
+        monkeypatch.setenv("REPRO_KERNEL", "bogus")
+        monkeypatch.setattr(K, "_default_kernel", K._initial_default())
+        known = "known: bucket, incremental, reference"
+        with pytest.raises(ValueError, match=f"REPRO_KERNEL='bogus' .*; {known}"):
+            default_kernel()
+        g = grid_graph(3, 3)
+        with pytest.raises(ValueError, match=known):
+            run_pair_kernel(g, np.zeros(g.n, dtype=np.int64), np.ones(g.n),
+                            0, 1, 0.0, 9.0)
+        with use_kernel("reference"):
+            assert default_kernel() == "reference"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "grid", "--size", "6", "--k", "2"],
+        ["demo", "--side", "6", "-k", "2"],
+    ])
+    def test_unknown_env_kernel_cli_one_line(self, monkeypatch, argv):
+        from repro.cli import main
+
+        monkeypatch.setattr(K, "_default_kernel", "bogus")
+        with pytest.raises(SystemExit, match=rf"^{argv[0]}: REPRO_KERNEL='bogus'"):
+            main(argv)
 
 
 class TestSweepRecordsKernel:

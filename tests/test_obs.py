@@ -658,9 +658,8 @@ class TestSweepSpansBlock:
 
     def test_worker_telemetry_carries_solver_counts_and_spans(self, tmp_path):
         from repro.runtime import read_results, write_results
-        from repro.separators import reset_solver_state, solver_stats
+        from repro.separators import solver_stats
 
-        reset_solver_state()  # forked workers must not inherit a warm cache
         scenarios = [Scenario(family="grid", size=16, k=4),
                      Scenario(family="mesh", size=16, k=4)]
         results = run_sweep(scenarios, workers=2)
@@ -672,6 +671,18 @@ class TestSweepSpansBlock:
         write_results(path, results, timing=True)
         back = read_results(path)
         assert [b.telemetry for b in back] == [r.telemetry for r in results]
+
+    def test_sweep_workers_start_with_a_cold_solve_cache(self):
+        # after the caller ran a cell inline its solve cache is warm; forked
+        # workers must not inherit it, or their cells count no solves
+        from repro.separators import reset_solver_state, solver_stats
+
+        cell = [Scenario(family="grid", size=16, k=4)]
+        reset_solver_state()
+        fresh = solver_stats(run_sweep(cell)[0].telemetry)["counters"]["solves"]
+        assert fresh > 0
+        forked = run_sweep(cell, workers=2)[0].telemetry
+        assert solver_stats(forked)["counters"]["solves"] == fresh
 
     def test_deterministic_payload_has_no_spans(self, tmp_path):
         from repro.runtime import write_results

@@ -820,6 +820,48 @@ class TestProcessCrashRecovery:
         assert [e["op"] for e in report["lost_sessions"]] == ["open"]
         assert report["recovered_sessions"] == 0
 
+    def test_crash_during_open_reaches_metrics_and_event_log(self, tmp_path):
+        """A session lost in open counts everywhere a later loss does: the
+        ``stats`` block, the registry's ``sessions_lost`` counter (what
+        ``/metrics`` renders) and a ``session.lost`` event."""
+        import io
+
+        from repro.obs import events, registry
+
+        async def scenario():
+            service = DecompositionService(shards=1, journal_dir=tmp_path / "journals")
+            task, host, port = await start_server(service)
+            client = await ServiceClient.connect(host, port)
+            try:
+                reply = await client.open_stream("s1", STREAM_SPEC)
+                stats = await client.stats()
+            finally:
+                await client.close()
+                await stop_server(task, host, port)
+            return reply, stats["stats"]["sessions"]
+
+        def lost_counter():
+            return registry().snapshot()["counters"].get("sessions_lost", 0)
+
+        before = lost_counter()
+        log = io.StringIO()
+        events.configure(log)
+        try:
+            faults = [{"point": "open", "session": "s1", "version": 0}]
+            with arm_faults(tmp_path / "plan", faults) as armed:
+                reply, sessions = asyncio.run(scenario())
+                fired = fired_count(armed)
+        finally:
+            events.configure(None)
+        assert fired == 1
+        assert reply["error"] == "session lost: worker process died"
+        assert sessions["lost"] == 1
+        assert lost_counter() - before == 1
+        lost = [e for e in map(json.loads, log.getvalue().splitlines())
+                if e["event"] == "session.lost"]
+        assert [(e["session"], e["op"], e["error"]) for e in lost] == [
+            ("s1", "open_stream", "session lost: worker process died")]
+
     def test_kill_during_journal_append_recovers(self, tmp_path, baseline):
         """The asynchronous crash: SIGKILL the owning worker at the exact
         moment the server appends the acknowledged op to the journal."""

@@ -321,32 +321,8 @@ class TestRepair:
         assert restore_window(g, labels, w, 4)
         assert np.array_equal(labels, res.labels)
 
-    def test_boundary_gain_table_matches_legacy_scan(self):
-        """The incremental mover table reproduces ``_boundary_movers``
-        exactly on integer costs — including after incremental updates."""
-        from repro.stream.repair import BoundaryGainTable, _boundary_movers
-
-        rng = np.random.default_rng(31)
-        g = grid_graph(9, 9)
-        g = g.with_costs(rng.integers(0, 5, g.m).astype(np.float64))
-        k = 4
-        labels = rng.integers(-1, k, g.n).astype(np.int64)
-        table = BoundaryGainTable(g, labels, k)
-        for cls in range(k):
-            assert table.movers(labels, cls) == _boundary_movers(g, labels, cls)
-        for _ in range(12):
-            colored = np.flatnonzero(labels >= 0)
-            v = int(rng.choice(colored))
-            old, new = int(labels[v]), int(rng.integers(0, k))
-            if old == new:
-                continue
-            labels[v] = new
-            table.apply_move(v, old, new)
-        for cls in range(k):
-            assert table.movers(labels, cls) == _boundary_movers(g, labels, cls)
-
     def test_restore_window_float_costs_path(self):
-        """Non-integral costs route around the mover table and still repair."""
+        """Non-integral costs repair like integral ones."""
         g = grid_graph(8, 8)
         g = g.with_costs(np.random.default_rng(2).random(g.m) + 0.25)
         assert not g.costs_integral()
@@ -359,6 +335,20 @@ class TestRepair:
         lo, hi = strict_window(w2, 4)
         cw = np.bincount(labels, weights=w2, minlength=4)
         assert np.all(cw <= hi + 1e-9) and np.all(cw >= lo - 1e-9)
+
+    def test_boundary_movers_rule(self):
+        """Movers out of a class are its boundary members, each headed to
+        the colored class it has the most cost toward (ties to the smaller
+        id), sorted by the boundary-cost delta own − toward."""
+        from repro.graphs.graph import Graph
+        from repro.stream.repair import _boundary_movers
+
+        # class 0 = {0, 1, 2, 3}; 0 is interior, 1 ties classes 1 and 2,
+        # 2 leans to class 2, and 3 touches only the uncolored vertex 7
+        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 7)]
+        g = Graph(8, np.array(edges), costs=np.array([1, 1, 1, 2, 2, 1, 2, 5.0]))
+        labels = np.array([0, 0, 0, 0, 1, 2, 2, -1], dtype=np.int64)
+        assert _boundary_movers(g, labels, 0) == [(-2.0, 2, 2), (-1.0, 1, 1)]
 
     def test_restore_window_underweight_pull(self):
         """The vectorized pull-in branch refills an underweight class."""
