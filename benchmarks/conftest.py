@@ -1,8 +1,9 @@
 """Shared helpers for the experiment benchmarks (E1-E13).
 
 Every benchmark prints its experiment table (visible with ``-s``) and saves
-it under ``benchmarks/out/`` so EXPERIMENTS.md can quote results verbatim.
-Since the sweep-engine refactor the *source of truth* is machine-readable:
+it under ``benchmarks/out/`` (gitignored scratch: no table is kept in the
+repository).  Since the sweep-engine refactor the *source of truth* is
+machine-readable:
 benches either run their grids through :mod:`repro.runtime` and render the
 tables from the JSON records (``save_sweep``), or dump their bespoke row
 data as JSON next to the text table (``save_json``).

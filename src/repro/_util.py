@@ -7,7 +7,6 @@ substrate modules can import it without cycles.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
 
 import numpy as np
 
@@ -19,8 +18,6 @@ __all__ = [
     "as_float_array",
     "as_index_array",
     "mask_from_indices",
-    "indices_from_mask",
-    "safe_max",
     "cumulative_prefix_target",
 ]
 
@@ -171,17 +168,6 @@ def mask_from_indices(indices, n: int) -> np.ndarray:
     if idx.size:
         mask[idx] = True
     return mask
-
-
-def indices_from_mask(mask: np.ndarray) -> np.ndarray:
-    """Int64 indices of the True entries of ``mask``."""
-    return np.flatnonzero(np.asarray(mask, dtype=bool)).astype(np.int64)
-
-
-def safe_max(values: Iterable[float], default: float = 0.0) -> float:
-    """``max`` that returns ``default`` on empty input."""
-    vals = list(values)
-    return max(vals) if vals else default
 
 
 def cumulative_prefix_target(sorted_weights: np.ndarray, target: float) -> int:

@@ -1,7 +1,7 @@
 """Fixed-width experiment tables (used by every benchmark).
 
 Benchmarks print paper-claim vs. measured rows; this keeps the format
-uniform so EXPERIMENTS.md can quote the output verbatim.
+uniform across them.
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ from .graph import Graph
 
 __all__ = [
     "from_edges",
-    "from_networkx",
-    "to_networkx",
     "disjoint_union",
     "relabel",
 ]
@@ -21,39 +19,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], costs=None, coords=None
     """Build a graph from an iterable of ``(u, v)`` pairs."""
     edge_arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
     return Graph(n, edge_arr, costs, coords=coords)
-
-
-def from_networkx(nxg, cost_attr: str = "cost", default_cost: float = 1.0) -> Graph:
-    """Convert an (undirected, simple) networkx graph.
-
-    Node labels are mapped to ``0..n-1`` in sorted order when possible,
-    insertion order otherwise.  Edge costs are read from ``cost_attr``.
-    """
-    nodes = list(nxg.nodes())
-    try:
-        nodes = sorted(nodes)
-    except TypeError:
-        pass
-    index = {u: i for i, u in enumerate(nodes)}
-    edges = []
-    costs = []
-    for u, v, data in nxg.edges(data=True):
-        edges.append((index[u], index[v]))
-        costs.append(float(data.get(cost_attr, default_cost)))
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return Graph(len(nodes), edge_arr, np.asarray(costs, dtype=np.float64))
-
-
-def to_networkx(g: Graph, cost_attr: str = "cost"):
-    """Convert to a networkx graph (test/interop helper)."""
-    import networkx as nx
-
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    for eid in range(g.m):
-        u, v = int(g.edges[eid, 0]), int(g.edges[eid, 1])
-        nxg.add_edge(u, v, **{cost_attr: float(g.costs[eid])})
-    return nxg
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:

@@ -19,7 +19,6 @@ __all__ = [
     "lognormal_costs",
     "fluctuation_costs",
     "axis_costs",
-    "distance_decay_costs",
     "fluctuation",
     "local_fluctuation",
 ]
@@ -78,16 +77,6 @@ def axis_costs(g: Graph, axis_scale: np.ndarray | list[float]) -> np.ndarray:
     diffs = np.abs(g.coords[g.edges[:, 0]] - g.coords[g.edges[:, 1]])
     axis = np.argmax(diffs, axis=1) if g.m else np.zeros(0, dtype=np.int64)
     return scale[axis]
-
-
-def distance_decay_costs(g: Graph, center: np.ndarray | None = None, decay: float = 0.05) -> np.ndarray:
-    """Costs decaying with distance from a hot spot (localized coupling)."""
-    if g.coords is None:
-        raise ValueError("distance_decay_costs requires coordinates")
-    c = np.asarray(center if center is not None else g.coords.mean(axis=0), dtype=np.float64)
-    mid = (g.coords[g.edges[:, 0]] + g.coords[g.edges[:, 1]]) / 2.0
-    dist = np.linalg.norm(mid - c, axis=1) if g.m else np.zeros(0)
-    return np.exp(-decay * dist) + 1e-3
 
 
 def fluctuation(costs: np.ndarray) -> float:

@@ -58,7 +58,10 @@ __all__ = [
     "timed_request_handler",
 ]
 
-#: ceiling on the jittered exponential backoff between recovery attempts
+#: base delay and ceiling of the jittered exponential backoff between
+#: recovery attempts — a shard that keeps dying (bad native lib, OOM loop)
+#: must not be respawn-hammered by a tight replay/retry loop
+_RECOVERY_BACKOFF_S = 0.05
 _RECOVERY_BACKOFF_CAP_S = 1.0
 
 #: on stop, how long in-flight responses get to complete before their
@@ -97,7 +100,6 @@ class DecompositionService:
         journal_dir=None,
         recovery: bool = True,
         recovery_attempts: int = 3,
-        recovery_backoff_s: float = 0.05,
         slow_request_s: float | None = None,
     ):
         # the cache and batcher validate their sizes before the pool exists,
@@ -131,10 +133,6 @@ class DecompositionService:
                 raise
         self.recovery = bool(recovery) and self.journal is not None
         self.recovery_attempts = max(1, int(recovery_attempts))
-        #: base delay of the jittered exponential backoff between recovery
-        #: attempts — a shard that keeps dying (bad native lib, OOM loop)
-        #: must not be respawn-hammered by a tight replay/retry loop
-        self.recovery_backoff_s = max(0.0, float(recovery_backoff_s))
         #: streaming sessions: id -> {"shard": owner, "lock": per-session
         #: ordering lock, "last_used": loop time}.  The shard is pinned at
         #: open time (instance-hash routing), so a session's state stays
@@ -501,7 +499,7 @@ class DecompositionService:
         between replay and retry loops around (each attempt respawns the
         shard), but never tightly: attempts are hard-capped at
         ``recovery_attempts`` and separated by jittered exponential backoff
-        (base ``recovery_backoff_s``, capped at 1s), with a typed
+        (base 50 ms, capped at 1s), with a typed
         ``session.recovery_retry`` event per failed attempt.  After the cap
         — or on a diverged or unreadable journal, which retrying cannot fix
         — the original lost outcome is returned and the caller surfaces the
@@ -520,9 +518,9 @@ class DecompositionService:
             "base": header.get("base"),
             "ops": ops,
         }
-        delay = self.recovery_backoff_s
+        delay = _RECOVERY_BACKOFF_S
         for attempt in range(1, self.recovery_attempts + 1):
-            if attempt > 1 and delay > 0:
+            if attempt > 1:
                 await asyncio.sleep(delay * random.uniform(0.5, 1.5))
                 delay = min(delay * 2.0, _RECOVERY_BACKOFF_CAP_S)
             restored = await self.pool.submit_session(entry["shard"], restore)

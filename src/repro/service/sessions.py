@@ -34,7 +34,7 @@ import pathlib
 
 from ..stream import ReplayError, StreamSession, UnknownMutationError, replay_session
 
-__all__ = ["session_call", "open_session_count", "drop_namespace", "maybe_fault"]
+__all__ = ["session_call", "drop_namespace", "maybe_fault"]
 
 #: session id -> live session, per worker process.  Ids arrive prefixed
 #: with the owning pool's namespace (see ``ShardPool.submit_session``), so
@@ -102,11 +102,6 @@ def maybe_fault(point: str, session: str | None = None, version: int | None = No
             except FileExistsError:
                 continue  # this spec already fired (possibly in another worker)
         os._exit(59)  # simulate a hard crash: no cleanup, no exception
-
-
-def open_session_count() -> int:
-    """Number of sessions alive in *this* process (test/debug hook)."""
-    return len(_SESSIONS)
 
 
 def drop_namespace(namespace: str) -> int:

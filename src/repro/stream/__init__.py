@@ -14,8 +14,7 @@ Layers:
   adversarial cut-crossing churn, plus the dynamic-vertex-set families
   growth, remesh, and arrival-departure).
 * :mod:`.repair` — the incremental repairer: greedy strict-window
-  restoration, dirty-region-seeded FM refinement, and the Träff–Wimmer-style
-  :func:`cheap_lower_bound` the drift monitor checks repairs against.
+  restoration and dirty-region-seeded FM refinement.
 * :mod:`.session` — :class:`StreamSession` (trace replay + policy + audit
   snapshots), the sweep-engine entry points, and :func:`replay_session`
   (deterministic session rebuild from a journaled op log).
@@ -38,13 +37,7 @@ from .mutations import (
     UnknownMutationError,
     replay,
 )
-from .repair import (
-    cheap_lower_bound,
-    local_repair,
-    restore_window,
-    seed_new_vertices,
-    strict_window,
-)
+from .repair import local_repair, restore_window, seed_new_vertices, strict_window
 from .session import (
     POLICIES,
     ReplayError,
@@ -68,7 +61,6 @@ __all__ = [
     "ReplayError",
     "StreamSession",
     "UnknownMutationError",
-    "cheap_lower_bound",
     "journal_file_name",
     "local_repair",
     "make_trace",

@@ -60,10 +60,6 @@ def journal_file_name(session_id: str) -> str:
     return f"{slug}-{digest}{_SUFFIX}"
 
 
-#: backwards-compatible private alias (pre-ring internal name)
-_journal_name = journal_file_name
-
-
 def read_journal(path) -> tuple[dict, list[dict]]:
     """Parse one journal file into ``(header, ops)``.
 
@@ -190,7 +186,7 @@ class JournalStore:
         return lock_file
 
     def path_for(self, session_id: str) -> pathlib.Path:
-        return self.directory / _journal_name(session_id)
+        return self.directory / journal_file_name(session_id)
 
     # ------------------------------------------------------------------
     def create(self, session_id: str, header: dict) -> None:
@@ -255,7 +251,7 @@ class JournalStore:
         every leftover file is an orphan) and usable any time with the live
         session-id set.  Only ``*.journal`` files are touched.
         """
-        keep = {_journal_name(sid) for sid in live_sessions}
+        keep = {journal_file_name(sid) for sid in live_sessions}
         removed = 0
         for path in sorted(self.directory.glob(f"*{_SUFFIX}")):
             if path.name in keep:

@@ -177,15 +177,8 @@ class DirtyRegion:
     """What one applied batch touched — the seed set for local repair."""
 
     vertices: np.ndarray  #: endpoints of changed edges + reweighted vertices
-    structural: bool  #: any edge inserted or deleted, or the index space grew
-    costs_changed: bool
-    weights_changed: bool
     added: np.ndarray = field(default_factory=_no_vertices)  #: vertices that came alive
     removed: np.ndarray = field(default_factory=_no_vertices)  #: vertices that went dead
-
-    @property
-    def empty(self) -> bool:
-        return self.vertices.size == 0
 
 
 class GraphState:
@@ -208,7 +201,6 @@ class GraphState:
         self.alive = np.ones(self.n, dtype=bool)
         self.coords = coords
         self.version = 0
-        self.applied = 0
         self._graph: Graph | None = None
         # incremental materialization: the last materialized graph plus the
         # first-touch pre-image of every edge key changed since (None =
@@ -376,23 +368,24 @@ class GraphState:
         dirty: set[int] = set()
         added_v: list[int] = []
         removed_v: list[int] = []
-        structural = costs_changed = weights_changed = False
-        grew = False
+        # an edge inserted, deleted or re-costed, or a new index slot, makes
+        # the materialized graph stale (weights and liveness live outside it)
+        stale = False
         for mut in batch:
             if mut.kind == "add":
                 self._record_delta((mut.u, mut.v))
                 self._edges[(mut.u, mut.v)] = mut.value
-                structural = True
+                stale = True
                 dirty.update((mut.u, mut.v))
             elif mut.kind == "remove":
                 self._record_delta((mut.u, mut.v))
                 del self._edges[(mut.u, mut.v)]
-                structural = True
+                stale = True
                 dirty.update((mut.u, mut.v))
             elif mut.kind == "cost":
                 self._record_delta((mut.u, mut.v))
                 self._edges[(mut.u, mut.v)] = mut.value
-                costs_changed = True
+                stale = True
                 dirty.update((mut.u, mut.v))
             elif mut.kind == "add_vertex":
                 if mut.u == self.n:
@@ -401,38 +394,31 @@ class GraphState:
                     self.alive = np.append(self.alive, True)
                     # coordinates annotate the original index space only
                     self.coords = None
-                    grew = True
+                    stale = True
                 else:
                     self.alive[mut.u] = True
                     self.weights[mut.u] = mut.value
-                weights_changed = True
                 added_v.append(mut.u)
                 dirty.add(mut.u)
             elif mut.kind == "remove_vertex":
                 for key in [k for k in self._edges if mut.u in k]:
                     self._record_delta(key)
                     del self._edges[key]
-                    structural = True
+                    stale = True
                     dirty.update(key)
                 self.alive[mut.u] = False
                 self.weights[mut.u] = 0.0
-                weights_changed = True
                 removed_v.append(mut.u)
                 dirty.add(mut.u)
             else:
                 self.weights[mut.u] = mut.value
-                weights_changed = True
                 dirty.add(mut.u)
         if batch:
             self.version += 1
-            self.applied += len(batch)
-            if structural or costs_changed or grew:
+            if stale:
                 self._graph = None
         return DirtyRegion(
             vertices=np.array(sorted(dirty), dtype=np.int64),
-            structural=structural or grew,
-            costs_changed=costs_changed,
-            weights_changed=weights_changed,
             added=np.array(added_v, dtype=np.int64),
             removed=np.array(removed_v, dtype=np.int64),
         )
@@ -441,7 +427,6 @@ class GraphState:
         out = GraphState(self.n, self._edges, self.weights, coords=self.coords)
         out.alive = self.alive.copy()
         out.version = self.version
-        out.applied = self.applied
         # materialized graphs are immutable, so the cache and the patch
         # base can be shared; the delta dict is copied (it is per-state)
         out._graph = self._graph

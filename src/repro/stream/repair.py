@@ -10,14 +10,8 @@ the full Theorem 4 pipeline after every mutation batch, it
    the same window-preserving FM kernel (:mod:`repro.core.kernels`) the
    static pipeline's post-pass uses (:func:`local_repair`), and
 3. leaves the recompute decision to a drift monitor: the session triggers a
-   full solve when the repaired max boundary cost exceeds
-   ``gamma × max(cheap lower bound, last full solve)``.
-
-:func:`cheap_lower_bound` is the quality floor of step 3 — a combinatorial,
-O(n + m) bound in the spirit of Träff & Wimmer's cheap lower bounds for
-balanced partitioning (arXiv 1410.0462): it certifies a minimum max-boundary
-cost any strictly balanced k-partition of the *current* graph must pay, so
-"repair stayed near recompute" can be checked without ever recomputing.
+   full solve when the repaired max boundary cost exceeds ``gamma ×`` the
+   last full solve's.
 """
 
 from __future__ import annotations
@@ -25,11 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.kernels import run_pair_kernel
-from ..graphs.components import bfs_levels, is_connected, is_connected_within
+from ..graphs.components import bfs_levels
 from ..graphs.graph import Graph
 
 __all__ = [
-    "cheap_lower_bound",
     "restore_window",
     "local_repair",
     "seed_new_vertices",
@@ -52,54 +45,6 @@ def strict_window(weights: np.ndarray, k: int) -> tuple[float, float]:
     avg = total / k
     slack = (1.0 - 1.0 / k) * wmax
     return avg - slack, avg + slack
-
-
-def cheap_lower_bound(g: Graph, k: int, weights: np.ndarray, alive=None) -> float:
-    """Combinatorial floor on the max boundary cost of any strictly
-    balanced k-partition of ``g``.
-
-    Two certificates, both O(n + m); the max of the two is returned:
-
-    * **Quotient connectivity** — contracting the classes of any partition
-      of a connected graph leaves a connected quotient on ``k`` vertices,
-      so at least ``k − 1`` inter-class edge bundles exist, each costing at
-      least ``c_min``; the total boundary is ``2·c(cut) ≥ 2(k−1)c_min`` and
-      the max class is at least the average: ``2(k−1)c_min/k``.
-    * **Crowded neighborhoods** — if ``w(v) + w(N(v))`` exceeds the strict
-      window's upper bound, no class can contain ``v``'s closed
-      neighborhood, so the class of ``v`` cuts at least ``v``'s cheapest
-      incident edge.  The best such vertex certifies a per-class floor.
-
-    ``alive`` (optional boolean mask) restricts the quotient-connectivity
-    certificate to the live vertex set — with soft-deleted slots the whole
-    graph is never connected, but the partition only covers live vertices,
-    so live connectivity is the right premise.  The crowded-neighborhood
-    certificate needs no gate: dead slots have zero weight and no incident
-    edges, so they can never be crowded.
-    """
-    if k < 2 or g.m == 0:
-        return 0.0
-    w = np.asarray(weights, dtype=np.float64)
-    _, hi = strict_window(w, k)
-    bound = 0.0
-    c_min = float(g.costs.min())
-    connected = is_connected(g) if alive is None else is_connected_within(g, alive)
-    if c_min > 0 and connected:
-        bound = 2.0 * (k - 1) * c_min / k
-    # closed-neighborhood weight per vertex, vectorized over half-edges
-    closed = w.copy()
-    np.add.at(closed, g.edges[:, 0], w[g.edges[:, 1]])
-    np.add.at(closed, g.edges[:, 1], w[g.edges[:, 0]])
-    crowded = closed > hi + 1e-12
-    if np.any(crowded):
-        min_inc = np.full(g.n, np.inf)
-        np.minimum.at(min_inc, g.edges[:, 0], g.costs)
-        np.minimum.at(min_inc, g.edges[:, 1], g.costs)
-        vals = min_inc[crowded]
-        vals = vals[np.isfinite(vals)]
-        if vals.size:
-            bound = max(bound, float(vals.max()))
-    return bound
 
 
 def _boundary_movers(g: Graph, labels: np.ndarray, cls: int) -> list[tuple[float, int, int]]:

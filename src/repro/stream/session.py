@@ -10,7 +10,7 @@ Repair policies (the ``policy`` scenario param):
 
 * ``repair`` — localized repair plus the drift monitor: a full solve is
   triggered only when the repaired max boundary cost exceeds
-  ``gamma × max(cheap lower bound, last full solve)``.
+  ``gamma ×`` the last full solve's.
 * ``patch`` — localized repair only, never recompute on drift (the ablation
   showing what the monitor buys).
 * ``recompute`` — full Theorem 4 solve after every batch (the quality and
@@ -35,7 +35,7 @@ from ..core.coloring import Coloring
 from ..obs import registry as _telemetry
 from ..obs import span
 from .mutations import GraphState, Mutation, MutationError
-from .repair import cheap_lower_bound, local_repair, restore_window, seed_new_vertices
+from .repair import local_repair, restore_window, seed_new_vertices
 from .traces import TRACES, make_trace
 
 __all__ = [
@@ -97,6 +97,10 @@ class StreamSession:
         self.solver = str(params.get("solver", _STREAM_PARAM_DEFAULTS["solver"]))
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r} (have {', '.join(POLICIES)})")
+        # NaN would switch the drift monitor off, gamma <= 0 would turn every
+        # repaired step into a full solve
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma!r}")
         if self.trace_kind not in TRACES:
             raise ValueError(
                 f"unknown trace {self.trace_kind!r} (have {', '.join(sorted(TRACES))})"
@@ -250,16 +254,8 @@ class StreamSession:
             if not balanced:
                 action = "recompute-balance"
             elif self.policy == "repair":
-                # drift monitor: the reference is the cheap combinatorial
-                # floor or the last full solve — whichever certifies more
-                alive = self.state.alive
-                floor = max(
-                    cheap_lower_bound(
-                        g, self.k, w, alive=None if bool(alive.all()) else alive
-                    ),
-                    self.last_full_cost,
-                )
-                if floor > 0 and cost > self.gamma * floor:
+                # drift monitor
+                if self.last_full_cost > 0 and cost > self.gamma * self.last_full_cost:
                     action = "recompute-drift"
                 elif self.refresh > 0 and self.steps_since_full >= self.refresh:
                     # bounded staleness: the reference ages as mutations

@@ -16,7 +16,6 @@ from repro.stream import (
     Mutation,
     MutationError,
     StreamSession,
-    cheap_lower_bound,
     local_repair,
     make_trace,
     replay,
@@ -82,7 +81,7 @@ class TestGraphState:
         g0 = state.graph()
         h0 = state.structural_hash()
         dirty = state.apply([Mutation.set_cost(0, 1, 9.0)])
-        assert state.version == 1 and dirty.costs_changed and not dirty.structural
+        assert state.version == 1 and dirty.vertices.tolist() == [0, 1]
         assert state.graph() is not g0
         assert state.structural_hash() != h0
 
@@ -199,7 +198,7 @@ class TestReplay:
         for prefix in range(len(batches) + 1):
             rebuilt = replay(base, batches[:prefix])
             assert (rebuilt.version, rebuilt.structural_hash()) == fingerprints[prefix]
-        assert base.version == 0 and base.applied == 0  # base never touched
+        assert fingerprints[0] == (base.version, base.structural_hash())  # base never touched
 
     def test_replay_empty_log_is_identity(self):
         base = small_state()
@@ -269,34 +268,6 @@ class TestTraces:
     def test_unknown_kind(self):
         with pytest.raises(KeyError, match="unknown trace kind"):
             make_trace("nope", small_state(), steps=1, ops=1, seed=0)
-
-
-class TestCheapLowerBound:
-    def test_zero_for_trivial(self):
-        g = grid_graph(4, 4)
-        assert cheap_lower_bound(g, 1, np.ones(g.n)) == 0.0
-
-    def test_connectivity_floor(self):
-        g = grid_graph(6, 6)
-        w = np.ones(g.n)
-        lb = cheap_lower_bound(g, 4, w)
-        assert lb >= 2.0 * 3 / 4  # 2(k-1)c_min/k with unit costs
-
-    def test_sound_vs_actual_decomposition(self):
-        """The floor never exceeds what an actual solution achieves."""
-        g = grid_graph(8, 8)
-        w = zipf_weights(g, rng=0)
-        for k in (2, 4, 8):
-            res = min_max_partition(g, k, weights=w)
-            assert cheap_lower_bound(g, k, w) <= res.max_boundary(g) + 1e-9
-
-    def test_crowded_neighborhood_certificate(self):
-        # a star-ish heavy center: its closed neighborhood cannot fit a class
-        g = grid_graph(4, 4)
-        w = np.ones(g.n)
-        w[5] = 100.0  # center vertex dominates; window hi ≈ avg + wmax
-        lb = cheap_lower_bound(g, 4, w)
-        assert lb >= g.costs.min()
 
 
 class TestRepair:
@@ -483,6 +454,35 @@ class TestStreamSession:
         actions = [session.step()["action"] for _ in range(2)]
         assert all(a != "repair" for a in actions)
         assert session.recomputes >= 1
+
+    def test_drift_verdict_flips_at_gamma_times_last_full_cost(self):
+        """A repaired step re-solves exactly when its cost exceeds gamma
+        times the last full solve's."""
+        from repro.runtime import build_instance
+
+        def session_at(gamma):
+            s = stream_scenario(size=12, params={"gamma": gamma, "refresh": 0})
+            return StreamSession(build_instance(s), s)
+
+        probe = session_at(1e9)
+        full_cost = probe.last_full_cost
+        first = probe.step()
+        assert first["action"] == "repair"
+        cost = first["max_boundary"]
+        assert cost > 0 and full_cost > 0
+        for factor, action in ((1.01, "repair"), (0.99, "recompute-drift")):
+            session = session_at(factor * cost / full_cost)
+            # neither the initial solve nor the trace depends on gamma
+            assert session.last_full_cost == full_cost
+            assert session.step()["action"] == action
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        from repro.runtime import build_instance
+
+        s = stream_scenario(params={"gamma": gamma})
+        with pytest.raises(ValueError, match="gamma must be a finite number > 0"):
+            StreamSession(build_instance(s), s)
 
 
 class TestStreamScenarios:

@@ -489,6 +489,31 @@ class TestSessionRobustness:
         with pytest.raises(ValueError, match="unknown solver"):
             StreamSession(build_instance(s2), s2)
 
+    def test_open_stream_rejects_bad_gamma(self):
+        """A wire gamma of NaN, inf or <= 0 is an open_stream error, not a
+        session with its drift monitor off or always on."""
+        bad = [float("nan"), float("inf"), 0.0, -1.0]
+
+        async def run():
+            service = DecompositionService(shards=0)
+            task, host, port = await start_server(service)
+            client = await ServiceClient.connect(host, port)
+            try:
+                replies = []
+                for i, gamma in enumerate(bad):
+                    spec = {**STREAM_SPEC, "params": {**STREAM_SPEC["params"], "gamma": gamma}}
+                    replies.append(await client.open_stream(f"s{i}", spec))
+                stats = await client.stats()
+                return replies, stats["stats"]["sessions"]
+            finally:
+                await client.close()
+                await stop_server(task, host, port)
+
+        replies, sessions = asyncio.run(run())
+        for reply in replies:
+            assert not reply["ok"] and "gamma must be a finite number > 0" in reply["error"]
+        assert sessions["open"] == 0 and sessions["opened"] == 0
+
     def test_multi_step_mutate_is_atomic(self):
         async def run():
             service = DecompositionService(shards=0)
