@@ -371,9 +371,26 @@ def _grid_from_args(args, command: str):
                 f"(have {', '.join(sorted(registry))})"
             )
     try:
-        return grid, grid.scenarios()
+        scenarios = grid.scenarios()
+        for scenario in scenarios:
+            _check_names(scenario)
     except ValueError as exc:
         raise SystemExit(f"{command}: {exc}") from exc
+    return grid, scenarios
+
+
+def _check_names(scenario) -> None:
+    """Resolve every name a cell looks up when it runs — its kernel, its
+    stream params and its oracle (a stream cell's through its solver) — so
+    a bad ``--param`` raises ``ValueError`` here, not in a worker."""
+    from .runtime.algorithms import resolved_kernel_name, resolved_oracle_name
+
+    resolved_kernel_name(scenario)
+    if scenario.algorithm == "stream":
+        from .stream import stream_params
+
+        scenario = scenario.with_(algorithm=stream_params(scenario)["solver"])
+    resolved_oracle_name(scenario)
 
 
 def _oracle_cache_env(command: str, disable: bool, size: int | None = None) -> None:
@@ -393,22 +410,6 @@ def _oracle_cache_env(command: str, disable: bool, size: int | None = None) -> N
 
     try:
         process_cache()
-    except ValueError as exc:
-        raise SystemExit(f"{command}: {exc}") from exc
-
-
-#: subcommands that run FM passes, in this process or in workers it starts
-_FM_COMMANDS = frozenset({"partition", "demo", "sweep", "profile", "serve"})
-
-
-def _kernel_env(command: str) -> None:
-    """Reject an unknown ``REPRO_KERNEL`` in one ``command: ...`` line
-    before any work; workers inherit the environment, so the same name
-    would otherwise fail every cell or request."""
-    from .core.kernels import default_kernel
-
-    try:
-        default_kernel()
     except ValueError as exc:
         raise SystemExit(f"{command}: {exc}") from exc
 
@@ -828,8 +829,6 @@ def _run_loadgen_churn(args, scenarios) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in _FM_COMMANDS or getattr(args, "check_sweep", False):
-        _kernel_env(args.command)
     if args.command == "partition":
         g, stored_w = _load_graph(args.graph)
         w = _load_weights(args.weights, g.n, stored_w)

@@ -41,7 +41,7 @@ from .kernels import (
     run_pair_kernel,
     use_kernel,
 )
-from .refine import kway_refine, pairwise_refine
+from .refine import kway_refine
 from .strictify import improve_balance
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "kway_refine",
     "HierarchicalResult",
     "hierarchical_partition",
-    "pairwise_refine",
     "DEFAULT_KERNEL",
     "fm_pair_pass",
     "fm_pair_pass_bucket",

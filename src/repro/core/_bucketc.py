@@ -20,7 +20,7 @@ routine is needed — never at import — and the shared object is cached under
 Every routine reproduces its Python counterpart exactly:
 
 * The FM move loop makes the decisions of the heap kernels
-  (``kernels._dense_pass`` and the ``reference`` loop): the same
+  (``kernels._move_loop`` and the ``reference`` loop): the same
   ``(gain, vertex-id)`` pop order, stale entries re-armed at the current
   gain as the heap re-enqueues them, the same window checks, and the same
   IEEE-754 double operations in the same order (compiled with

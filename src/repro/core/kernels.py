@@ -7,11 +7,12 @@ multilevel baseline's uncoarsening refinement — funnels through one
 primitive: a balance-window-preserving FM pass moving vertices between two
 classes.  :func:`run_pair_kernel` runs it under a kernel name looked up in
 :data:`REGISTRY` (``name -> pass function``); the sweep grid's ``kernel``
-param, :func:`use_kernel` and ``REPRO_KERNEL`` pick the name.
+param and :func:`use_kernel` pick the name.
 
 ``bucket`` (the default) and ``incremental`` are thin calls into one
 dispatcher, :func:`_pair_pass`, that shares the prologue (class weights,
-the one-move slack, the member set) and takes one of three paths:
+the member set, the strict window and its one-move slack) and takes one of
+three paths:
 
 native
     The dense bucket-queue pass of the repo's native module
@@ -25,23 +26,29 @@ native
     and index buckets directly), a bitmap within ``_BUCKET_TABLE_CAP``
     bytes, and int64 C-contiguous labels.
 heap
-    The gain-table pass: initial gains from one signed ``np.bincount``
-    scatter, then a lazy-deletion heap validated against the stored gain
-    table — a popped entry that disagrees with the table is re-enqueued at
-    the table gain instead of triggering a recompute.  Every dense pass the
-    native path does not take: float costs, huge cost ranges, labels the C
-    routine cannot address, ``REPRO_BUCKET_C=0`` or no compiler.
+    Initial gains from one signed ``np.bincount`` scatter over the pair's
+    edges, the whole instance as Python lists, then the interpreted move
+    loop :func:`_move_loop`.  Every dense pass the native path does not
+    take: float costs, huge cost ranges, labels the C routine cannot
+    address, ``REPRO_BUCKET_C=0`` or no compiler.
 restricted
-    Sparse ``movable`` masks (the streaming halo, ``members·8 ≤ n``): the
-    heap discipline over the members' CSR rows only, so setup scales with
-    the perturbation, not the instance.
+    Sparse ``movable`` masks (the streaming halo, ``members·8 ≤ n``):
+    per-member gains summed over their CSR rows, and only the members and
+    their neighbors, renumbered in id order, as Python lists; then the same
+    move loop — so setup scales with the perturbation, not the instance.
 
-``incremental`` is ``bucket`` without the native path — the ablation
-``benchmarks/bench_e15_perf.py`` times.  ``reference`` is the historical
-recompute-everything loop: every pop recomputes the vertex's gain from its
-CSR row, and every accepted move recomputes and re-pushes all pair
-neighbors.  It is the semantics oracle of the golden-equivalence tests and
-the ablation baseline of the same benchmark.
+The move loop pops a lazy-deletion heap validated against the stored gain
+table: a popped entry that disagrees with the table is re-enqueued at the
+table gain instead of triggering a recompute, and a committed move updates
+its pair neighbors' gains by ``±2c``.  It works on its Python lists alone;
+the dispatcher then writes the kept moves into the caller's labels, so no
+move is written and rolled back.  ``incremental`` is ``bucket``
+without the native path — the ablation ``benchmarks/bench_e15_perf.py``
+times.  ``reference`` is the historical recompute-everything loop: every
+pop recomputes the vertex's gain from its CSR row, and every accepted move
+recomputes and re-pushes all pair neighbors.  It is the semantics oracle of
+the golden-equivalence tests and the ablation baseline of the same
+benchmark.
 
 All kernels make identical decisions: pops order by ``(-gain, vertex)`` so
 ties break toward the smallest vertex id, acceptance uses the same
@@ -81,7 +88,6 @@ unrestricted FM discipline allows.
 from __future__ import annotations
 
 import heapq
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -163,11 +169,13 @@ def _pair_pass(
 ) -> tuple[list[int], bool]:
     """The one FM pair-pass dispatcher behind ``bucket`` and ``incremental``.
 
-    A sparse ``movable`` mask takes the restricted pass; with ``native``
+    A sparse ``movable`` mask takes the halo gain setup; with ``native``
     set, a pass the compiled routine can run takes it; everything else
-    takes the heap.  The native pass and the heap decide identically on the
-    integer costs the native pass accepts, so whether native code loaded
-    never shows in the labels.  With telemetry on, each pass counts
+    takes the heap gain setup.  Both setups feed :func:`_move_loop`, and
+    the kept prefix is chosen here for all three paths.  The native pass
+    and the heap decide identically on the integer costs the native pass
+    accepts, so whether native code loaded never shows in the labels.  With
+    telemetry on, each pass counts
     ``kernel_passes{path=native|heap|restricted}``.
     """
     w = np.asarray(weights, dtype=np.float64)
@@ -183,27 +191,40 @@ def _pair_pass(
         return [], False
     cw_i = float(w[labels == i].sum())
     cw_j = float(w[labels == j].sum())
+    limit = int(max_moves) if max_moves is not None else int(members.size)
+    # the strict window a kept prefix must end in, and the one-move
+    # overshoot slack an intermediate state may use
+    lo_ok, hi_ok = lo_bound - 1e-9, hi_bound + 1e-9
+    window = (lo_ok, hi_ok, lo_bound - wmax - _TOL, hi_bound + wmax + _TOL)
+    start_ok = lo_ok <= cw_i <= hi_ok and lo_ok <= cw_j <= hi_ok
     if movable is not None and members.size * 8 <= g.n:
         path = "restricted"
-        result = _restricted_pass(
-            g, labels, w, i, j, lo_bound, hi_bound,
-            max_moves, member_mask, members, cw_i, cw_j, wmax,
-        )
+        seen, tables = _halo_tables(g, labels, w, i, j, member_mask, members)
+        moves, best_prefix = _move_loop(i, j, cw_i, cw_j, limit, window, *tables)
+        moves = [seen[v] for v in moves]
     elif native and (fn := _native_pass_fn(g, labels)) is not None:
         path = "native"
-        result = _native_pass(
-            fn, g, labels, w, i, j, lo_bound, hi_bound,
-            max_moves, member_mask, members, cw_i, cw_j, wmax,
+        moves, best_prefix = _native_pass(
+            fn, g, labels, w, i, j, member_mask, cw_i, cw_j, limit, window, start_ok,
         )
     else:
         path = "heap"
-        result = _dense_pass(
-            g, labels, w, i, j, lo_bound, hi_bound,
-            max_moves, in_pair, member_mask, members, cw_i, cw_j, wmax, csr,
+        moves, best_prefix = _move_loop(
+            i, j, cw_i, cw_j, limit, window,
+            *_heap_tables(g, labels, w, in_pair, member_mask, members, csr),
         )
+    # the best strictly valid prefix; if the input itself was outside the
+    # window (shouldn't happen), the best effort instead of an invalid start
+    kept = moves if best_prefix == 0 and not start_ok else moves[:best_prefix]
+    if path == "native":
+        # the compiled pass labeled in place and returns its moves as an array
+        kept = kept.tolist()
+    else:
+        for v in kept:
+            labels[v] = j if labels[v] == i else i
     if telemetry_enabled():
         registry().counter("kernel_passes", path=path).inc()
-    return result
+    return kept, best_prefix > 0
 
 
 def fm_pair_pass_bucket(
@@ -249,19 +270,17 @@ def fm_pair_pass(
 
 
 def _native_pass(
-    fn, g, labels, w, i, j, lo_bound, hi_bound,
-    max_moves, member_mask, members, cw_i, cw_j, wmax,
-) -> tuple[list[int], bool]:
-    """One native call: gains, bitmap, move loop and rollback.
+    fn, g, labels, w, i, j, member_mask, cw_i, cw_j, limit, window, start_ok,
+) -> tuple[np.ndarray, int]:
+    """One native call: gains, bitmap, move loop and rollback, with
+    ``labels`` left as the kept prefix (or the best effort) makes them;
+    returns every move made (an array) and the best prefix length.
 
-    The class weights ``cw_i``/``cw_j`` and ``wmax`` arrive as the numpy
-    reductions the prologue computed, so float weights enter the loop with
-    the same bits as on the heap path.
+    The class weights ``cw_i``/``cw_j`` and the window arrive as the
+    dispatcher computed them, so float weights enter the loop with the same
+    bits as on the interpreted path.
     """
-    limit = int(max_moves) if max_moves is not None else int(members.size)
-    lo_ok = lo_bound - 1e-9
-    hi_ok = hi_bound + 1e-9
-    start_ok = lo_ok <= cw_i <= hi_ok and lo_ok <= cw_j <= hi_ok
+    lo_ok, hi_ok, lo_slack, hi_slack = window
     w = np.ascontiguousarray(w)
     member_u8 = np.ascontiguousarray(member_mask).view(np.uint8)
     moves = np.empty(max(limit, 1), dtype=np.int64)
@@ -270,49 +289,94 @@ def _native_pass(
         g.n, int(g.max_cost_degree()),
         g.indptr.ctypes.data, g.nbr.ctypes.data, g.arc_costs.ctypes.data,
         labels.ctypes.data, member_u8.ctypes.data, w.ctypes.data, i, j,
-        cw_i, cw_j, lo_ok, hi_ok, lo_bound - wmax - _TOL, hi_bound + wmax + _TOL,
+        cw_i, cw_j, lo_ok, hi_ok, lo_slack, hi_slack,
         _TOL, limit, start_ok, moves.ctypes.data, best.ctypes.data,
     )
     if nmoves < 0:
         raise MemoryError("bucket pass: native scratch allocation failed")
-    best_prefix = int(best[0])
-    if best_prefix == 0 and not start_ok and nmoves:
-        # the start was outside the window: the C side kept the best effort
-        return moves[:nmoves].tolist(), False
-    return moves[:best_prefix].tolist(), best_prefix > 0
+    return moves[:nmoves], int(best[0])
 
 
-def _dense_pass(
-    g, labels, w, i, j, lo_bound, hi_bound,
-    max_moves, in_pair, member_mask, members, cw_i, cw_j, wmax, csr,
-) -> tuple[list[int], bool]:
-    """Gain-table heap pass: scattered initial gains, lazy-deletion heap."""
+def _heap_tables(g, labels, w, in_pair, member_mask, members, csr):
+    """The dense gain setup: one signed scatter, then the whole instance as
+    Python lists.  At a handful of neighbors per committed move, list reads
+    beat numpy element access by an order of magnitude."""
     gains = _initial_pair_gains(g, labels, in_pair)
-
-    # --- Python-native state for the scalar move loop.  At a handful of
-    # neighbors per committed move, list reads beat numpy element access by
-    # an order of magnitude; ``labels`` (the caller's array) is kept in sync
-    # at every commit and rollback.
-    indptr_l, nbr_l, acost_l = csr if csr is not None else g.csr_lists()
-    gains_l = gains.tolist()
-    labels_l = labels.tolist()
-    w_l = w.tolist()
-    member_l = member_mask.tolist()
-    locked = [False] * g.n
     heap = list(zip((-gains[members]).tolist(), members.tolist()))
+    return (
+        heap, gains.tolist(), labels.tolist(), w.tolist(), member_mask.tolist(),
+        [False] * g.n, *(csr if csr is not None else g.csr_lists()),
+    )
+
+
+def _halo_tables(g, labels, w, i, j, member_mask, members):
+    """The halo gain setup: tables over the members' CSR rows only.
+
+    Beyond the O(n) class-weight sums the dispatcher already pays, setup is
+    proportional to the members' degree sum — no full-edge scan and no O(n)
+    list conversions — so the streaming repairer's dirty-region passes
+    scale with the perturbation, not the instance.  Each member's initial
+    gain uses the same two-sum expression as the reference kernel, so halo
+    passes match it exactly even for float costs.
+
+    The members and their neighbors are renumbered ``0..m-1`` in id order
+    (``seen``, returned with the tables, maps back), so the move loop reads
+    lists as on the heap path and breaks ``(gain, id)`` ties in the same
+    order.  Only the members' CSR rows are kept; other rows are empty.
+    """
+    indptr, nbr, acost = g.indptr, g.nbr, g.arc_costs
+    starts, ends = indptr[members], indptr[members + 1]
+    member_gains = []
+    row_nbrs = []
+    row_costs = []
+    for s, e, lv in zip(starts.tolist(), ends.tolist(), labels[members].tolist()):
+        nbrs = nbr[s:e]
+        ecost = acost[s:e]
+        lab = labels[nbrs]
+        member_gains.append(float(ecost[lab == (j if lv == i else i)].sum()
+                                  - ecost[lab == lv].sum()))
+        row_nbrs.append(nbrs)
+        row_costs.append(ecost)
+    arc_nbrs = np.concatenate(row_nbrs)
+    seen = np.unique(np.concatenate([members, arc_nbrs]))
+    local = np.searchsorted(seen, members)
+    local_indptr = np.zeros(seen.size + 1, dtype=np.int64)
+    local_indptr[local + 1] = ends - starts
+    gains = np.zeros(seen.size)
+    gains[local] = member_gains
+    return seen.tolist(), (
+        list(zip([-gv for gv in member_gains], local.tolist())),
+        gains.tolist(),
+        labels[seen].tolist(),
+        w[seen].tolist(),
+        member_mask[seen].tolist(),
+        [False] * seen.size,
+        np.cumsum(local_indptr).tolist(),
+        np.searchsorted(seen, arc_nbrs).tolist(),
+        np.concatenate(row_costs).tolist(),
+    )
+
+
+def _move_loop(
+    i, j, cw_i, cw_j, limit, window,
+    heap, gains, labels_l, w_l, member_l, locked, indptr_l, nbr_l, acost_l,
+) -> tuple[list[int], int]:
+    """The interpreted move loop both gain setups share.
+
+    ``heap`` holds the members' ``(-gain, vertex)`` entries; ``gains``,
+    ``labels_l``, ``w_l``, ``member_l`` and ``locked`` are vertex-indexed
+    Python lists and ``indptr_l``/``nbr_l``/``acost_l`` the CSR, over the
+    whole instance (heap setup) or the halo's renumbered vertices.  Returns
+    every move made, in order, and the length of the best strictly valid
+    prefix; the caller's labels are not touched.
+    """
+    lo_ok, hi_ok, lo_slack, hi_slack = window
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     moves: list[int] = []
     best_prefix = 0
     best_improvement = 0.0
     improvement = 0.0
-    limit = max_moves if max_moves is not None else members.size
-    heappop, heappush = heapq.heappop, heapq.heappush
-
-    lo_ok = lo_bound - 1e-9
-    hi_ok = hi_bound + 1e-9
-    lo_slack = lo_bound - wmax - _TOL
-    hi_slack = hi_bound + wmax + _TOL
-    start_ok = lo_ok <= cw_i <= hi_ok and lo_ok <= cw_j <= hi_ok
     while heap and len(moves) < limit:
         neg_gain, v = heappop(heap)
         if locked[v]:
@@ -320,7 +384,7 @@ def _dense_pass(
         lv = labels_l[v]
         if lv != i and lv != j:
             continue
-        gv = gains_l[v]
+        gv = gains[v]
         if abs(gv + neg_gain) > _TOL:
             # stale lazy-deletion entry: the table moved on since this push.
             # Re-enqueue at the *stored* gain (O(1)) so the vertex keeps its
@@ -339,7 +403,6 @@ def _dense_pass(
         if new_src < lo_slack or new_dst > hi_slack:
             continue
         labels_l[v] = dst
-        labels[v] = dst
         locked[v] = True
         if src == i:
             cw_i, cw_j = new_src, new_dst
@@ -363,111 +426,11 @@ def _dense_pass(
             lu = labels_l[u]
             if lu == i or lu == j:
                 c2 = 2.0 * acost_l[t]
-                gu = gains_l[u] + c2 if lu == src else gains_l[u] - c2
-                gains_l[u] = gu
-                if not locked[u] and member_l[u]:
-                    heappush(heap, (-gu, u))
-    # rollback past the best strictly-valid prefix; if the input itself was
-    # outside the window (shouldn't happen), keep the best effort instead of
-    # rolling back to an invalid start
-    if best_prefix == 0 and not start_ok and moves:
-        return moves, False
-    for v in reversed(moves[best_prefix:]):
-        labels[v] = i if labels[v] == j else j
-    return moves[:best_prefix], best_prefix > 0
-
-
-def _restricted_pass(
-    g, labels, w, i, j, lo_bound, hi_bound,
-    max_moves, member_mask, members, cw_i, cw_j, wmax,
-) -> tuple[list[int], bool]:
-    """Halo-restricted pass: gain table over members only, numpy access.
-
-    Beyond the O(n) class-weight sums the shared prologue already pays,
-    setup is proportional to the members' degree sum — no full-edge scan
-    and no O(n) list conversions — so the streaming repairer's dirty-region
-    passes scale with the perturbation, not the instance.  The initial
-    per-member gain uses the same two-sum expression as the reference
-    kernel, so restricted passes match it exactly even for float costs.
-    """
-    indptr, nbr, acost = g.indptr, g.nbr, g.arc_costs
-    gains: dict[int, float] = {}
-    heap = []
-    for v in members.tolist():
-        s, e = indptr[v], indptr[v + 1]
-        nbrs = nbr[s:e]
-        ecost = acost[s:e]
-        own = labels[nbrs] == labels[v]
-        other = labels[nbrs] == (j if labels[v] == i else i)
-        gv = float(ecost[other].sum() - ecost[own].sum())
-        gains[v] = gv
-        heap.append((-gv, v))
-    heapq.heapify(heap)
-    locked = np.zeros(g.n, dtype=bool)
-    moves: list[int] = []
-    best_prefix = 0
-    best_improvement = 0.0
-    improvement = 0.0
-    limit = max_moves if max_moves is not None else members.size
-    heappop, heappush = heapq.heappop, heapq.heappush
-
-    lo_ok = lo_bound - 1e-9
-    hi_ok = hi_bound + 1e-9
-    lo_slack = lo_bound - wmax - _TOL
-    hi_slack = hi_bound + wmax + _TOL
-    start_ok = lo_ok <= cw_i <= hi_ok and lo_ok <= cw_j <= hi_ok
-    while heap and len(moves) < limit:
-        neg_gain, v = heappop(heap)
-        if locked[v]:
-            continue
-        lv = labels[v]
-        if lv != i and lv != j:
-            continue
-        gv = gains[v]
-        if abs(gv + neg_gain) > _TOL:
-            heappush(heap, (-gv, v))
-            continue
-        wv = float(w[v])
-        if lv == i:
-            src, dst = i, j
-            new_src, new_dst = cw_i - wv, cw_j + wv
-        else:
-            src, dst = j, i
-            new_src, new_dst = cw_j - wv, cw_i + wv
-        if new_src < lo_slack or new_dst > hi_slack:
-            continue
-        labels[v] = dst
-        locked[v] = True
-        if src == i:
-            cw_i, cw_j = new_src, new_dst
-        else:
-            cw_j, cw_i = new_src, new_dst
-        improvement += gv
-        moves.append(v)
-        if (
-            improvement > best_improvement + _TOL
-            and lo_ok <= cw_i <= hi_ok
-            and lo_ok <= cw_j <= hi_ok
-        ):
-            best_improvement = improvement
-            best_prefix = len(moves)
-        # O(deg) delta update, members only: non-members never enter the
-        # heap (matching the reference push guard), so only their gains
-        # would go stale and none are tracked.
-        for t in range(int(indptr[v]), int(indptr[v + 1])):
-            u = int(nbr[t])
-            lu = labels[u]
-            if (lu == i or lu == j) and member_mask[u]:
-                c2 = 2.0 * float(acost[t])
                 gu = gains[u] + c2 if lu == src else gains[u] - c2
                 gains[u] = gu
-                if not locked[u]:
+                if not locked[u] and member_l[u]:
                     heappush(heap, (-gu, u))
-    if best_prefix == 0 and not start_ok and moves:
-        return moves, False
-    for v in reversed(moves[best_prefix:]):
-        labels[v] = i if labels[v] == j else j
-    return moves[:best_prefix], best_prefix > 0
+    return moves, best_prefix
 
 
 def fm_pair_pass_reference(
@@ -566,14 +529,14 @@ def fm_pair_pass_reference(
 # ---------------------------------------------------------------------------
 
 #: kernel name -> pass function; the names the sweep grid's ``kernel``
-#: param, ``--kernel`` axis, :func:`use_kernel` and ``REPRO_KERNEL`` accept
+#: param, ``--kernel`` axis and :func:`use_kernel` accept
 REGISTRY = {
     "bucket": fm_pair_pass_bucket,
     "incremental": fm_pair_pass,
     "reference": fm_pair_pass_reference,
 }
 
-#: the kernel used when neither caller, override, nor env picks one
+#: the kernel used when neither caller nor override picks one
 DEFAULT_KERNEL = "bucket"
 
 
@@ -581,25 +544,11 @@ def _unknown_kernel(name: str) -> ValueError:
     return ValueError(f"unknown FM kernel {name!r}; known: {', '.join(sorted(REGISTRY))}")
 
 
-def _initial_default() -> str:
-    """``REPRO_KERNEL`` as set, unchecked, so importing never fails;
-    :func:`default_kernel` rejects an unknown name."""
-    return os.environ.get("REPRO_KERNEL", "").strip() or DEFAULT_KERNEL
-
-
-_default_kernel = _initial_default()
+_default_kernel = DEFAULT_KERNEL
 
 
 def default_kernel() -> str:
-    """Name of the kernel used when callers don't pick one explicitly.
-
-    Raises ``ValueError`` listing the known names when ``REPRO_KERNEL``
-    named none of them: a typo must not run the default kernel and record
-    it as if asked for.
-    """
-    if _default_kernel not in REGISTRY:
-        raise ValueError(f"REPRO_KERNEL={_default_kernel!r} is not a known FM kernel; "
-                         f"known: {', '.join(sorted(REGISTRY))}")
+    """Name of the kernel used when callers don't pick one explicitly."""
     return _default_kernel
 
 

@@ -32,7 +32,7 @@ from ..graphs.graph import Graph
 from .coloring import Coloring
 from .kernels import run_pair_kernel
 
-__all__ = ["kway_refine", "pairwise_refine"]
+__all__ = ["kway_refine"]
 
 
 def _class_pair_costs(g: Graph, labels: np.ndarray, k: int) -> dict[tuple[int, int], float]:
@@ -99,54 +99,20 @@ def _apply_move_deltas(
         del pair_costs[pair]
 
 
-def pairwise_refine(
-    g: Graph,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    i: int,
-    j: int,
-    lo_bound: float,
-    hi_bound: float,
-    max_moves: int | None = None,
-    movable: np.ndarray | None = None,
-    kernel: str | None = None,
-) -> bool:
-    """One FM pass moving vertices between classes ``i`` and ``j`` in place.
-
-    ``lo_bound``/``hi_bound`` are the global per-class weight limits
-    (Definition 1's window around the average); moves violating them are
-    skipped.  ``movable`` (optional boolean mask) restricts which vertices
-    may change class — the streaming repairer passes the dirty-region halo,
-    and the incremental kernel's restricted path keeps that pass's work
-    proportional to the halo's degree sum (plus the O(n) class-weight sums
-    the window accounting inherently needs) — while the weight window is
-    still accounted over the *full* classes, so restricted passes preserve
-    strict balance exactly like unrestricted ones.  ``kernel``
-    picks the move kernel (see :mod:`repro.core.kernels`; default is the
-    incremental gain-table kernel).  Returns True when any move was kept.
-    """
-    _, improved = run_pair_kernel(
-        g, labels, weights, i, j, lo_bound, hi_bound,
-        max_moves=max_moves, movable=movable, kernel=kernel,
-    )
-    return improved
-
-
 def kway_refine(
     g: Graph,
     coloring: Coloring,
     weights: np.ndarray,
     rounds: int = 2,
-    max_pairs_per_round: int | None = None,
     incremental_pair_costs: bool = True,
     kernel: str | None = None,
 ) -> Coloring:
     """Refine a strictly balanced k-coloring without leaving the window.
 
-    Each round visits class pairs in decreasing shared-boundary order and
-    runs one balance-constrained FM pass per pair.  Strict balance
-    (Definition 1) is preserved *exactly*: per-class weights never leave
-    ``[avg − (1−1/k)‖w‖∞, avg + (1−1/k)‖w‖∞]``.
+    Each round visits the ``2k`` class pairs with the most shared boundary,
+    in decreasing order, and runs one balance-constrained FM pass per pair.
+    Strict balance (Definition 1) is preserved *exactly*: per-class weights
+    never leave ``[avg − (1−1/k)‖w‖∞, avg + (1−1/k)‖w‖∞]``.
 
     Pair boundary costs are aggregated once up front and then maintained
     incrementally from the kernels' committed moves (only pairs touched by
@@ -170,7 +136,6 @@ def kway_refine(
     # never loosen an already-tighter-than-window input beyond the window
     lo_bound = avg - window
     hi_bound = avg + window
-    budget = max_pairs_per_round if max_pairs_per_round is not None else 2 * k
     pair_costs = _class_pair_costs(g, labels, k)
     # one list conversion shared by every pass of every round (csr_lists is
     # deliberately not cached on the graph — see Graph.csr_lists)
@@ -178,7 +143,7 @@ def kway_refine(
     for _ in range(max(0, rounds)):
         if not pair_costs:
             break
-        pairs = sorted(pair_costs.items(), key=lambda kv: (-kv[1], kv[0]))[:budget]
+        pairs = sorted(pair_costs.items(), key=lambda kv: (-kv[1], kv[0]))[: 2 * k]
         changed = False
         for (i, j), _cost in pairs:
             kept, improved = run_pair_kernel(

@@ -59,12 +59,11 @@ def resolved_kernel_name(scenario: Scenario) -> str | None:
     """The FM-kernel registry name a scenario's refinement resolves to, or
     ``None`` for algorithms that never run pair passes.
 
-    A ``kernel`` param wins; otherwise the process default applies — the
-    :data:`~repro.core.kernels.DEFAULT_KERNEL` constant unless the process
-    pinned ``REPRO_KERNEL`` at startup (``REPRO_KERNEL=<name> repro serve``
-    pins the front end and every shard).  Either way the name is fixed
-    before any scenario runs, so it is safe to record in the deterministic
-    result payload.
+    A ``kernel`` param wins; otherwise the default applies — the
+    :data:`~repro.core.kernels.DEFAULT_KERNEL` constant unless a
+    :func:`~repro.core.kernels.use_kernel` scope switched it.  Either way
+    the name is fixed before the scenario runs, so it is safe to record in
+    the deterministic result payload.
     """
     if scenario.algorithm not in KERNEL_ALGORITHMS:
         return None

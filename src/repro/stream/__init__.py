@@ -45,6 +45,7 @@ from .session import (
     replay_session,
     run_stream_scenario,
     stream_coloring,
+    stream_params,
 )
 from .traces import GROWTH_TRACES, TRACES, make_trace
 
@@ -71,5 +72,6 @@ __all__ = [
     "run_stream_scenario",
     "seed_new_vertices",
     "stream_coloring",
+    "stream_params",
     "strict_window",
 ]

@@ -45,6 +45,7 @@ __all__ = [
     "replay_session",
     "run_stream_scenario",
     "stream_coloring",
+    "stream_params",
 ]
 
 POLICIES = ("repair", "patch", "recompute")
@@ -79,36 +80,47 @@ def _round(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def stream_params(scenario) -> dict:
+    """The streaming layer's own params of ``scenario``, defaults filled in.
+
+    Raises ``ValueError`` on a value no session could run with, so a
+    command can refuse a bad cell before any session opens.
+    """
+    from ..runtime.algorithms import ALGORITHMS
+
+    given = scenario.param_dict
+    # each value takes its default's type: str, int or float
+    out = {name: type(default)(given.get(name, default))
+           for name, default in _STREAM_PARAM_DEFAULTS.items()}
+    if out["policy"] not in POLICIES:
+        raise ValueError(f"unknown policy {out['policy']!r} (have {', '.join(POLICIES)})")
+    # NaN would switch the drift monitor off, gamma <= 0 would turn every
+    # repaired step into a full solve
+    if not (math.isfinite(out["gamma"]) and out["gamma"] > 0):
+        raise ValueError(f"gamma must be a finite number > 0, got {out['gamma']!r}")
+    if out["trace"] not in TRACES:
+        raise ValueError(
+            f"unknown trace {out['trace']!r} (have {', '.join(sorted(TRACES))})"
+        )
+    # "stream" would recurse (full solve -> new session -> full solve …)
+    if out["solver"] == "stream" or out["solver"] not in ALGORITHMS:
+        have = ", ".join(sorted(set(ALGORITHMS) - {"stream"}))
+        raise ValueError(f"unknown solver {out['solver']!r} (have {have})")
+    return out
+
+
 class StreamSession:
     """One streaming decomposition: mutable instance + coloring + policy."""
 
     def __init__(self, instance, scenario):
-        from ..runtime.algorithms import ALGORITHMS
         from ..runtime.scenario import derive_seed
 
         self.scenario = scenario
         params = scenario.param_dict
-        self.trace_kind = str(params.get("trace", _STREAM_PARAM_DEFAULTS["trace"]))
-        self.total_steps = int(params.get("steps", _STREAM_PARAM_DEFAULTS["steps"]))
-        self.ops = int(params.get("ops", _STREAM_PARAM_DEFAULTS["ops"]))
-        self.policy = str(params.get("policy", _STREAM_PARAM_DEFAULTS["policy"]))
-        self.gamma = float(params.get("gamma", _STREAM_PARAM_DEFAULTS["gamma"]))
-        self.refresh = int(params.get("refresh", _STREAM_PARAM_DEFAULTS["refresh"]))
-        self.solver = str(params.get("solver", _STREAM_PARAM_DEFAULTS["solver"]))
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r} (have {', '.join(POLICIES)})")
-        # NaN would switch the drift monitor off, gamma <= 0 would turn every
-        # repaired step into a full solve
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma!r}")
-        if self.trace_kind not in TRACES:
-            raise ValueError(
-                f"unknown trace {self.trace_kind!r} (have {', '.join(sorted(TRACES))})"
-            )
-        # "stream" would recurse (full solve -> new session -> full solve …)
-        if self.solver == "stream" or self.solver not in ALGORITHMS:
-            have = ", ".join(sorted(set(ALGORITHMS) - {"stream"}))
-            raise ValueError(f"unknown solver {self.solver!r} (have {have})")
+        p = stream_params(scenario)
+        self.trace_kind, self.total_steps, self.ops = p["trace"], p["steps"], p["ops"]
+        self.policy, self.gamma, self.solver = p["policy"], p["gamma"], p["solver"]
+        self.refresh = p["refresh"]
         self.k = scenario.k
         self.state = GraphState.from_graph(instance.graph, instance.weights)
         # the trace is seeded from the *instance* spec plus trace shape only,

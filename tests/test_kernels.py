@@ -29,7 +29,7 @@ from repro.core.kernels import (
     run_pair_kernel,
     use_kernel,
 )
-from repro.graphs import grid_graph, triangulated_mesh
+from repro.graphs import grid_graph, lognormal_costs, triangulated_mesh
 from repro.graphs.graph import Graph
 from repro.obs import registry, reset_telemetry
 
@@ -131,6 +131,34 @@ class TestPairEquivalence:
         assert np.flatnonzero(in_pair & movable).size * 8 <= g.n
         total = float(w.sum())
         avg = total / k
+        span = float(w.max()) * (1.0 - 1.0 / k)
+        assert_all_equal(
+            all_kernels(g, labels, w, 0, 1, avg - span, avg + span, movable=movable)
+        )
+
+    @pytest.mark.parametrize("mask", ["halo", "dense"])
+    @pytest.mark.parametrize("family", ["grid", "mesh"])
+    @pytest.mark.parametrize("trial", range(10))
+    def test_lognormal_costs_both_gain_setups(self, trial, family, mask):
+        """Float costs: a BFS-radius-2 halo takes the halo gain setup and a
+        60% mask the heap's, and both feed the one interpreted move loop;
+        the three kernels still keep the same moves."""
+        from repro.graphs.components import bfs_levels
+
+        rng = np.random.default_rng(700 + trial)
+        g = grid_graph(20, 20) if family == "grid" else triangulated_mesh(20, 20)
+        g = g.with_costs(lognormal_costs(g, sigma=0.8, rng=rng))
+        w = rng.integers(1, 5, g.n).astype(np.float64)
+        k = 3
+        labels = rng.integers(0, k, g.n).astype(np.int64)
+        if mask == "halo":
+            levels = bfs_levels(g, np.asarray([int(rng.integers(0, g.n))]))
+            movable = (levels >= 0) & (levels <= 2)
+        else:
+            movable = rng.random(g.n) < 0.6
+        members = np.flatnonzero(((labels == 0) | (labels == 1)) & movable).size
+        assert (members * 8 <= g.n) == (mask == "halo")
+        avg = float(w.sum()) / k
         span = float(w.max()) * (1.0 - 1.0 / k)
         assert_all_equal(
             all_kernels(g, labels, w, 0, 1, avg - span, avg + span, movable=movable)
@@ -522,38 +550,6 @@ class TestKernelRegistry:
                 kernel="nope",
             )
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "reference")
-        assert K._initial_default() == "reference"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert K._initial_default() == DEFAULT_KERNEL
-
-    def test_unknown_env_kernel_raises(self, monkeypatch):
-        # importing keeps working; every use of the default then refuses
-        # the name instead of running (and recording) the default kernel
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        monkeypatch.setattr(K, "_default_kernel", K._initial_default())
-        known = "known: bucket, incremental, reference"
-        with pytest.raises(ValueError, match=f"REPRO_KERNEL='bogus' .*; {known}"):
-            default_kernel()
-        g = grid_graph(3, 3)
-        with pytest.raises(ValueError, match=known):
-            run_pair_kernel(g, np.zeros(g.n, dtype=np.int64), np.ones(g.n),
-                            0, 1, 0.0, 9.0)
-        with use_kernel("reference"):
-            assert default_kernel() == "reference"
-
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--family", "grid", "--size", "6", "--k", "2"],
-        ["demo", "--side", "6", "-k", "2"],
-    ])
-    def test_unknown_env_kernel_cli_one_line(self, monkeypatch, argv):
-        from repro.cli import main
-
-        monkeypatch.setattr(K, "_default_kernel", "bogus")
-        with pytest.raises(SystemExit, match=rf"^{argv[0]}: REPRO_KERNEL='bogus'"):
-            main(argv)
-
 
 class TestSweepRecordsKernel:
     def test_records_name_their_kernel(self):
@@ -596,20 +592,33 @@ class TestSweepRecordsKernel:
                   "--kernel", "nope"])
 
 
+def assert_preset_records_match(preset, ablation):
+    """``preset`` solved with the default kernel and with ``ablation`` yields
+    identical records; only ``metrics["kernel"]`` (the honest name of what
+    ran) may differ."""
+    from repro.cli import SWEEP_PRESETS
+    from repro.runtime import ScenarioGrid, results_to_dict, run_sweep
+
+    scenarios = ScenarioGrid(**SWEEP_PRESETS[preset]).scenarios()
+    new = results_to_dict(run_sweep(scenarios, workers=1))
+    with use_kernel(ablation):
+        old = results_to_dict(run_sweep(scenarios, workers=1))
+    for rec in (*new["results"], *old["results"]):
+        rec["metrics"].pop("kernel", None)
+    assert new == old
+
+
 class TestGoldenSmokeGrid:
     @pytest.mark.parametrize("ablation", ["incremental", "reference"])
     def test_smoke_grid_byte_identical_across_kernels(self, ablation):
         """The CI smoke grid solved with every kernel yields identical
-        records — the golden gate for swapping the default kernel.  Only
-        ``metrics["kernel"]`` (the honest name of what ran) may differ."""
-        from repro.cli import SWEEP_PRESETS
-        from repro.runtime import ScenarioGrid, results_to_dict, run_sweep
+        records — the golden gate for swapping the default kernel."""
+        assert_preset_records_match("smoke", ablation)
 
-        grid = ScenarioGrid(**SWEEP_PRESETS["smoke"])
-        scenarios = grid.scenarios()
-        new = results_to_dict(run_sweep(scenarios, workers=1))
-        with use_kernel(ablation):
-            old = results_to_dict(run_sweep(scenarios, workers=1))
-        for rec in (*new["results"], *old["results"]):
-            rec["metrics"].pop("kernel", None)
-        assert new == old
+    @pytest.mark.parametrize("ablation", ["incremental", "reference"])
+    @pytest.mark.parametrize("preset", ["stream", "growth"])
+    def test_stream_presets_byte_identical_across_kernels(self, preset, ablation):
+        """The streaming presets run heap and halo passes on jittered float
+        costs, which the smoke grid (integer costs, native passes only)
+        never reaches: their records must not move with the kernel either."""
+        assert_preset_records_match(preset, ablation)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Coloring, kway_refine, pairwise_refine
+from repro.core import Coloring, kway_refine, run_pair_kernel
 from repro.core.refine import _apply_move_deltas, _class_pair_costs
 from repro.graphs import grid_graph, triangulated_mesh, unit_weights
 
@@ -64,7 +64,7 @@ class TestPairwiseRefine:
         w = unit_weights(g)
         labels = (g.coords[:, 1] >= 4).astype(np.int64)
         lo, hi = 30.0, 34.0
-        pairwise_refine(g, labels, w, 0, 1, lo, hi)
+        run_pair_kernel(g, labels, w, 0, 1, lo, hi)
         cw = np.bincount(labels, weights=w, minlength=2)
         assert np.all(cw >= lo - 1e-9)
         assert np.all(cw <= hi + 1e-9)
@@ -76,14 +76,14 @@ class TestPairwiseRefine:
         labels = (g.coords[:, 1] + (g.coords[:, 0] % 3) >= 5).astype(np.int64)
         before = g.boundary_cost(np.flatnonzero(labels == 0))
         avg = g.n / 2
-        pairwise_refine(g, labels, w, 0, 1, avg - 3, avg + 3)
+        run_pair_kernel(g, labels, w, 0, 1, avg - 3, avg + 3)
         after = g.boundary_cost(np.flatnonzero(labels == 0))
         assert after <= before
 
     def test_empty_pair(self):
         g = grid_graph(4, 4)
         labels = np.full(g.n, 2, dtype=np.int64)
-        assert not pairwise_refine(g, labels, unit_weights(g), 0, 1, 0.0, 100.0)
+        assert run_pair_kernel(g, labels, unit_weights(g), 0, 1, 0.0, 100.0) == ([], False)
 
 
 def loop_apply_move_deltas(g, labels, k, pair_costs, moved, i, j):

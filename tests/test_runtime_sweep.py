@@ -245,6 +245,34 @@ class TestSweepCli:
             main(["sweep", "--family", "grid", "--size", "6", "--k", k])
         assert exc.value.code == f"sweep: k must be >= 1, got {k}"
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--trace", "random-churn", "--param", "gamma=0"],
+         "gamma must be a finite number > 0, got 0.0"),
+        (["--trace", "random-churn", "--param", "solver=nope"],
+         "unknown solver 'nope' (have greedy, kst, minmax, multilevel, recursive-bisection)"),
+        (["--trace", "random-churn", "--param", "oracle=nope"],
+         "unknown oracle 'nope'; known: best, best3, bfs, default, grid, index, lex, "
+         "random, spectral"),
+        (["--param", "oracle=nope"],
+         "unknown oracle 'nope'; known: best, best3, bfs, default, grid, index, lex, "
+         "random, spectral"),
+        (["--param", "kernel=nope"],
+         "unknown FM kernel 'nope'; known: bucket, incremental, reference"),
+    ], ids=["gamma", "solver", "stream-oracle", "oracle", "kernel"])
+    @pytest.mark.parametrize("command", ["sweep", "profile", "loadgen"])
+    def test_bad_param_reported_in_one_line_before_running(self, monkeypatch, command,
+                                                           extra, message):
+        """A cell param no run could resolve stops the command at the
+        prompt: no sweep, profile or replay starts."""
+        import repro.runtime as runtime_mod
+
+        ran = []
+        monkeypatch.setattr(runtime_mod, "run_sweep", lambda *a, **kw: ran.append(a) or [])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "grid", "--size", "8", "--k", "2", *extra])
+        assert exc.value.code == f"{command}: {message}"
+        assert ran == []
+
     def test_sweep_reports_bad_oracle_cache_size_before_running(self, monkeypatch):
         import repro.runtime as runtime_mod
         from repro.separators import reset_solver_state

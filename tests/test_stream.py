@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Coloring, min_max_partition
-from repro.core.refine import pairwise_refine
+from repro.core.kernels import run_pair_kernel
 from repro.graphs import grid_graph, zipf_weights
 from repro.graphs.components import is_connected
 from repro.runtime import Scenario, run_scenario
@@ -365,7 +365,7 @@ class TestRepair:
         labels = (np.arange(g.n) % 4).astype(np.int64)
         assert local_repair(g, labels, w, 4, np.zeros(0, dtype=np.int64)) == 0
 
-    def test_pairwise_refine_movable_mask(self):
+    def test_pair_kernel_movable_mask(self):
         g = grid_graph(8, 8)
         w = np.ones(g.n)
         res = min_max_partition(g, 2, weights=w)
@@ -374,7 +374,7 @@ class TestRepair:
         movable = np.zeros(g.n, dtype=bool)
         movable[:8] = True
         frozen_before = labels[8:].copy()
-        pairwise_refine(g, labels, w, 0, 1, lo, hi, movable=movable)
+        run_pair_kernel(g, labels, w, 0, 1, lo, hi, movable=movable)
         assert np.array_equal(labels[8:], frozen_before)
 
 
